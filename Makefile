@@ -1,16 +1,20 @@
 # Makefile — developer entry points. `make verify` is the full gate:
-# gofmt, tier-1 build+tests, vet, and the race-detected suites. `make
-# bench` snapshots the root benchmarks into BENCH_PR10.json and gates the
-# snapshot against the previous PR's BENCH_PR9.json: a >10% ns/op
-# regression on the critical Figure3/Figure4 benches fails the target,
-# as does >3% on the attestation-protocol hot path — the latter now runs
-# alongside its profiler-enabled twin (armed ticker / active CPU capture)
-# so the continuous-profiling overhead is measured, not assumed. The PR8
-# batch-eval minspeedup gate is retired — the bitsliced engine is now the
-# baseline on both sides of the comparison, so the ordinary regression
-# threshold covers it. A separate single-shot pass appends the cluster
-# load SLO curves (p99, reject_overload, sessions/s at 1k/5k/10k provers)
-# to the same snapshot.
+# gofmt, tier-1 build+tests, vet, and the race-detected suites.
+#
+# The repository's benchmark is `bash bench/run.sh` (declared in
+# BENCHMARK.json, documented in bench/README.md): four workloads measured
+# end to end and layer by layer, judged by a same-host A/B of base and
+# head with `bash bench/run.sh compare`. `make bench` is the older
+# root-package snapshot kept for the microbenchmarks: it writes
+# BENCH_PR10.json (the last snapshot taken) and gates it
+# against BENCH_PR9.json: a >10% ns/op regression on the critical
+# Figure3/Figure4 benches fails the target, as does >3% on the
+# attestation-protocol hot path (run alongside its profiler-enabled twin,
+# so the continuous-profiling overhead is measured, not assumed). A
+# separate single-shot pass appends the cluster load SLO curves (p99,
+# reject_overload, sessions/s at 1k/5k/10k provers) to the same snapshot.
+# Snapshots taken on different machines do not compare; use the bench/
+# A/B for any speed claim.
 
 GO ?= go
 

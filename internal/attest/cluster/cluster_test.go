@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"pufatt/internal/attest"
 	"pufatt/internal/core"
 	"pufatt/internal/crp"
+	"pufatt/internal/ecc"
 	"pufatt/internal/mcu"
 	"pufatt/internal/obfuscate"
 	"pufatt/internal/rng"
@@ -19,13 +21,15 @@ import (
 )
 
 // fakeEnrollment builds enrollment material without measuring a device:
-// group/replication semantics don't need real references.
+// group/replication semantics don't need real references. Reference j of
+// seed s is the word s<<8 | j.
 func fakeEnrollment(device int, epoch uint32, seeds ...uint64) *Enrollment {
-	e := &Enrollment{device: device, bits: 32, epoch: epoch, refs: make(map[uint64][][]uint8)}
+	e := &Enrollment{device: device, bits: 32, epoch: epoch,
+		refs: make(map[uint64][obfuscate.ResponsesPerOutput]uint64)}
 	for _, s := range seeds {
-		refs := make([][]uint8, obfuscate.ResponsesPerOutput)
+		var refs [obfuscate.ResponsesPerOutput]uint64
 		for j := range refs {
-			refs[j] = []uint8{uint8(s), uint8(j)}
+			refs[j] = s<<8 | uint64(j)
 		}
 		e.refs[s] = refs
 		e.order = append(e.order, s)
@@ -275,11 +279,40 @@ func TestReferenceResponseRequiresClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref) != 2 || ref[0] != 77 || ref[1] != 1 {
+	if len(ref) != 32 || ecc.BitsToWord(ref) != 77<<8|1 {
 		t.Fatalf("reference = %v", ref)
 	}
 	if _, err := g.ReferenceResponse(77, obfuscate.ResponsesPerOutput); err == nil {
 		t.Fatal("out-of-range reference index served")
+	}
+}
+
+// TestReferenceResponseIsCallerOwned: every replica of a device shares one
+// Enrollment, so a caller that writes into a returned reference must not
+// change what any later read — on any shard — returns.
+func TestReferenceResponseIsCallerOwned(t *testing.T) {
+	c := threeShards(t, false)
+	g, err := c.Enroll(fakeEnrollment(6, 1, 88))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.NextUnused(); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := g.ReferenceResponse(88, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]uint8(nil), ref...)
+	for i := range ref {
+		ref[i] ^= 1
+	}
+	again, err := g.ReferenceResponse(88, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatalf("reference after a caller's write = %v, want %v", again, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pufatt/internal/core"
+	"pufatt/internal/ecc"
 	"pufatt/internal/obfuscate"
 )
 
@@ -13,12 +14,15 @@ import (
 // after construction, which is what makes replication cheap: every replica
 // of a device shares one Enrollment by pointer, and only the claim log —
 // the mutable "which seeds are burned" half — streams between shards.
+// References are packed one word per raw response (ecc.BitsToWord order) and
+// only ever handed out unpacked into fresh slices, so no caller can alias,
+// let alone corrupt, the shared material.
 type Enrollment struct {
 	device int
 	bits   int
 	epoch  uint32
 	order  []uint64
-	refs   map[uint64][][]uint8
+	refs   map[uint64][obfuscate.ResponsesPerOutput]uint64
 }
 
 // NewEnrollment measures the device's noiseless reference responses for
@@ -28,16 +32,16 @@ func NewEnrollment(dev *core.Device, seeds []uint64) (*Enrollment, error) {
 		device: dev.ChipID(),
 		bits:   dev.Design().ResponseBits(),
 		epoch:  dev.Epoch(),
-		refs:   make(map[uint64][][]uint8, len(seeds)),
+		refs:   make(map[uint64][obfuscate.ResponsesPerOutput]uint64, len(seeds)),
 	}
 	for _, seed := range seeds {
 		if _, dup := e.refs[seed]; dup {
 			return nil, fmt.Errorf("cluster: duplicate enrollment seed %#x", seed)
 		}
-		refs := make([][]uint8, obfuscate.ResponsesPerOutput)
+		var refs [obfuscate.ResponsesPerOutput]uint64
 		for j := range refs {
 			ch := dev.Design().ExpandChallenge(seed, j)
-			refs[j] = append([]uint8(nil), dev.NoiselessResponse(ch)...)
+			refs[j] = ecc.BitsToWord(dev.NoiselessResponse(ch))
 		}
 		e.refs[seed] = refs
 		e.order = append(e.order, seed)

@@ -8,6 +8,7 @@ import (
 
 	"pufatt/internal/crp"
 	"pufatt/internal/crp/store"
+	"pufatt/internal/ecc"
 	"pufatt/internal/telemetry"
 )
 
@@ -377,5 +378,5 @@ func (g *Group) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
 	if j < 0 || j >= len(refs) {
 		return nil, fmt.Errorf("cluster: reference index %d out of range", j)
 	}
-	return refs[j], nil
+	return ecc.WordToBits(refs[j], enr.bits), nil
 }

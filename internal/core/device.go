@@ -24,6 +24,10 @@ type Device struct {
 	// jitterScale converts the configured nominal jitter to the current
 	// corner (slower corner → proportionally larger arrival jitter).
 	jitterScale float64
+	// critPathPs caches CriticalPathPs for the current delay table; 0 means
+	// not yet computed (SetConditions, and so every table rebuild, resets
+	// it).
+	critPathPs float64
 	// challenge buffer reused across queries.
 	inBuf, respBuf []uint8
 	queries        uint64
@@ -118,6 +122,7 @@ func (dev *Device) SetConditions(cond delay.Conditions) {
 		dev.engine.SetDelays(tab)
 	}
 	dev.jitterScale = dev.design.model.InverterDelay(cond) / dev.design.model.InverterDelay(delay.Nominal())
+	dev.critPathPs = 0
 }
 
 // arrivalDelta returns, for response bit i, the arrival-time difference
@@ -242,8 +247,15 @@ func (dev *Device) ArrivalDeltas(challenge []uint8) []float64 {
 // CriticalPathPs returns the static worst-case propagation delay T_ALU of
 // the PUF datapath at the current corner: the topological longest path,
 // ignoring logical masking. The overclocking condition of Section 4.2 is
-// T_ALU + T_set < T_cycle.
+// T_ALU + T_set < T_cycle. It is computed once per delay table.
 func (dev *Device) CriticalPathPs() float64 {
+	if dev.critPathPs == 0 {
+		dev.critPathPs = dev.criticalPathPs()
+	}
+	return dev.critPathPs
+}
+
+func (dev *Device) criticalPathPs() float64 {
 	nl := dev.design.datapath.Net
 	tab := dev.tables[dev.cond]
 	arr := make([]float64, len(nl.Gates))

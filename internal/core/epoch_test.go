@@ -146,3 +146,27 @@ func TestEpochEmulatorFollowsEpoch(t *testing.T) {
 		t.Fatal("emulator exported at epoch 2 disagrees with the device")
 	}
 }
+
+// TestCriticalPathFollowsTableRebuilds: CriticalPathPs is cached per delay
+// table, so every rebuild (epoch, aging, corner) must drop the cache — the
+// cached value always equals a fresh device's at the same state.
+func TestCriticalPathFollowsTableRebuilds(t *testing.T) {
+	dev := epochTestDevice(t)
+	nominal := dev.CriticalPathPs()
+	dev.SetEpoch(1)
+	fresh := epochTestDevice(t)
+	fresh.SetEpoch(1)
+	if got, want := dev.CriticalPathPs(), fresh.CriticalPathPs(); got != want || got == nominal {
+		t.Fatalf("epoch 1 critical path %v, fresh device %v, epoch 0 %v", got, want, nominal)
+	}
+	dev.SetEpoch(0)
+	if got := dev.CriticalPathPs(); got != nominal {
+		t.Fatalf("back at epoch 0: critical path %v, want %v", got, nominal)
+	}
+	dev.Age(1000, 1)
+	fresh = epochTestDevice(t)
+	fresh.Age(1000, 1)
+	if got, want := dev.CriticalPathPs(), fresh.CriticalPathPs(); got != want || got <= nominal {
+		t.Fatalf("aged critical path %v, fresh aged device %v, unaged %v", got, want, nominal)
+	}
+}

@@ -91,7 +91,7 @@ func (p *DevicePort) SetClock(freqHz float64) {
 	p.CyclePs = 1e12 / freqHz
 }
 
-// MinReliableFreqMarginHz returns the highest CPU frequency at which the
+// MaxReliableFreqHz returns the highest CPU frequency at which the
 // PUF datapath still settles within a cycle (critical path + setup), i.e.
 // the boundary frequency F_{ALU+set} of Section 4.2.
 func (p *DevicePort) MaxReliableFreqHz() float64 {
@@ -121,7 +121,8 @@ func (p *DevicePort) Feed(a, b uint32) (uint64, error) {
 		// and all bits sample metastable arbiters.
 		p.meta.Bits(y)
 	} else {
-		counts := make([]int, bits)
+		var buf [32]int // NewDevicePort caps responses at 32 bits
+		counts := buf[:bits]
 		for v := 0; v < p.Votes; v++ {
 			r, _ := p.dev.ClockedResponse(ch, p.CyclePs, p.SetupPs)
 			for i, bit := range r {

@@ -18,6 +18,7 @@ package netlist
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Kind enumerates the gate types in the cell library.
@@ -147,6 +148,30 @@ type Netlist struct {
 	Order   []int          // a topological order of all gates (inputs first)
 	ByName  map[string]int // net name -> gate index (inputs and named gates)
 	Fanout  [][]int        // Fanout[i] lists the gates that read net i
+
+	derivedMu sync.Mutex
+	derived   map[any]any // see Derived
+}
+
+// Derived returns build(n), computed on the first call for key and shared by
+// every later call with the same key. Other packages use it to compile the
+// netlist once into their own form (a simulation program, say) and share
+// the result for the netlist's lifetime instead of rebuilding it per user;
+// since the netlist never changes, the result never goes stale. key must be
+// a comparable value of a type private to the calling package, and build
+// must not call Derived on the same netlist.
+func (n *Netlist) Derived(key any, build func(*Netlist) any) any {
+	n.derivedMu.Lock()
+	defer n.derivedMu.Unlock()
+	if v, ok := n.derived[key]; ok {
+		return v
+	}
+	v := build(n)
+	if n.derived == nil {
+		n.derived = make(map[any]any)
+	}
+	n.derived[key] = v
+	return v
 }
 
 // NumGates returns the total number of gates, including Input pseudo-gates.

@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -310,5 +312,42 @@ func TestMux2(t *testing.T) {
 		if out[0] != c.want {
 			t.Errorf("mux(s=%d,d0=%d,d1=%d) = %d, want %d", c.s, c.d0, c.d1, out[0], c.want)
 		}
+	}
+}
+
+// TestDerivedBuildsOncePerKey: concurrent callers of Derived share one
+// build per (netlist, key); other keys and netlists build their own.
+func TestDerivedBuildsOncePerKey(t *testing.T) {
+	type keyA struct{}
+	type keyB struct{}
+	nl := BuildRCANetlist(4)
+	var builds atomic.Int32
+	build := func(n *Netlist) any {
+		builds.Add(1)
+		return &struct{ gates int }{len(n.Gates)}
+	}
+	results := make([]any, 16)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = nl.Derived(keyA{}, build)
+		}(i)
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds for one key, want 1", n)
+	}
+	for _, r := range results {
+		if r != results[0] {
+			t.Fatal("callers of one key got different values")
+		}
+	}
+	if nl.Derived(keyB{}, build) == results[0] || BuildRCANetlist(4).Derived(keyA{}, build) == results[0] {
+		t.Fatal("another key or netlist shared the first key's value")
+	}
+	if n := builds.Load(); n != 3 {
+		t.Fatalf("%d builds after two more (key, netlist) pairs, want 3", n)
 	}
 }

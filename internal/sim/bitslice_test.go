@@ -119,8 +119,9 @@ func TestSlicedMatchesScalarStandaloneAdders(t *testing.T) {
 	}
 }
 
-// randomNetlist builds an arbitrary DAG over every gate kind with arities up
-// to 5, to exercise the generic kernels far from adder structure.
+// randomNetlist builds an arbitrary DAG over every gate kind, constants
+// included, with arities 1 (Buf, Not) and 2–6 (the rest), to exercise the
+// generic kernels far from adder structure.
 func randomNetlist(src *rng.Source, nGates int) *netlist.Netlist {
 	b := netlist.NewBuilder()
 	var nets []int
@@ -131,12 +132,17 @@ func randomNetlist(src *rng.Source, nGates int) *netlist.Netlist {
 	kinds := []netlist.Kind{
 		netlist.Buf, netlist.Not, netlist.And, netlist.Or,
 		netlist.Nand, netlist.Nor, netlist.Xor, netlist.Xnor,
+		netlist.Const0, netlist.Const1,
 	}
 	for i := 0; i < nGates; i++ {
 		k := kinds[src.Uint64()%uint64(len(kinds))]
+		if k == netlist.Const0 || k == netlist.Const1 {
+			nets = append(nets, b.Named(k, fmt.Sprintf("k%d", i)))
+			continue
+		}
 		arity := 1
 		if k != netlist.Buf && k != netlist.Not {
-			arity = 2 + int(src.Uint64()%4)
+			arity = 2 + int(src.Uint64()%5)
 		}
 		fi := make([]int, arity)
 		for j := range fi {

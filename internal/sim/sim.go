@@ -1,14 +1,17 @@
-// Package sim provides the two gate-level timing engines used to evaluate
-// the ALU PUF.
+// Package sim provides the gate-level timing engines used to evaluate the
+// ALU PUF.
 //
-// The levelized engine (Arrival) performs floating-mode arrival-time
+// The levelized engine (Engine) performs floating-mode arrival-time
 // analysis in a single topological pass: for every net it computes both its
 // Boolean value and the time at which that value becomes determined, taking
 // controlling values into account (an AND output is determined as soon as
-// its earliest 0-input arrives). This is the engine used for bulk
-// challenge/response generation — the paper evaluates 10^6 challenges per
-// experiment — because it is allocation-free per query and an order of
-// magnitude faster than event-driven simulation.
+// its earliest 0-input arrives). It runs a compiled form of the netlist — a
+// flat op list with int32 fanin indices and a dedicated two-input kernel —
+// built once per netlist and shared by every engine over it. This is the
+// per-query engine (device queries, the verifier's emulation) because it is
+// allocation-free per query and an order of magnitude faster than
+// event-driven simulation. SlicedEngine (bitslice.go) runs the same
+// analysis for 64 challenges per pass for bulk batches.
 //
 // The event-driven engine (EventSim) is a classic inertial-delay logic
 // simulator with a time-ordered event queue. It reproduces actual signal
@@ -28,11 +31,92 @@ import (
 	"pufatt/internal/netlist"
 )
 
+// opKind selects the kernel of one compiled op. Nand, Nor, Xnor and Not are
+// And, Or, Xor and Buf with op.inv set; Const1 is Const0 inverted.
+type opKind uint8
+
+const (
+	opAnd2 opKind = iota // two-input kernels: fanins a, b
+	opOr2
+	opXor2
+	opBuf // one fanin: a
+	opConst
+	opNary // any other fanin count: prog.fanin[a : a+b], gate kind in op.nk
+)
+
+// op is one gate of the compiled program, 16 bytes.
+type op struct {
+	kind opKind
+	inv  uint8 // XOR-ed into the value: 1 for the inverting kinds
+	nk   uint8 // netlist.Kind, read by the n-ary kernel only
+	out  int32
+	a, b int32
+}
+
+// program is the compiled, delay-independent form of a netlist that
+// Engine.Run executes: the logic gates in topological order as flat ops.
+// It is built once per netlist (see programFor) and shared, read-only, by
+// every Engine and clone over that netlist.
+type program struct {
+	ops   []op
+	fanin []int32 // fanin lists of opNary ops
+}
+
+type programKey struct{}
+
+// programFor returns the netlist's compiled program, building it on first
+// use.
+func programFor(nl *netlist.Netlist) *program {
+	return nl.Derived(programKey{}, func(nl *netlist.Netlist) any { return compileProgram(nl) }).(*program)
+}
+
+func compileProgram(nl *netlist.Netlist) *program {
+	p := &program{}
+	for _, g := range nl.Order {
+		gate := &nl.Gates[g]
+		o := op{nk: uint8(gate.Kind), out: int32(g)}
+		switch gate.Kind {
+		case netlist.Input:
+			continue
+		case netlist.Const0, netlist.Const1:
+			o.kind = opConst
+		case netlist.Buf, netlist.Not:
+			o.kind, o.a = opBuf, int32(gate.Fanin[0])
+		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor:
+			if len(gate.Fanin) == 2 {
+				o.a, o.b = int32(gate.Fanin[0]), int32(gate.Fanin[1])
+				switch gate.Kind {
+				case netlist.And, netlist.Nand:
+					o.kind = opAnd2
+				case netlist.Or, netlist.Nor:
+					o.kind = opOr2
+				default:
+					o.kind = opXor2
+				}
+				break
+			}
+			fallthrough
+		default:
+			o.kind, o.a, o.b = opNary, int32(len(p.fanin)), int32(len(gate.Fanin))
+			for _, f := range gate.Fanin {
+				p.fanin = append(p.fanin, int32(f))
+			}
+		}
+		switch gate.Kind {
+		case netlist.Not, netlist.Nand, netlist.Nor, netlist.Xnor, netlist.Const1:
+			o.inv = 1
+		}
+		p.ops = append(p.ops, o)
+	}
+	return p
+}
+
 // Engine computes values and arrival times for a fixed netlist/delay-table
 // pair using the levelized floating-mode analysis. It reuses internal
 // buffers across calls; an Engine is not safe for concurrent use.
 type Engine struct {
 	nl      *netlist.Netlist
+	prog    *program
 	delays  delay.Table
 	values  []uint8
 	arrival []float64
@@ -46,6 +130,7 @@ func NewEngine(nl *netlist.Netlist, delays delay.Table) *Engine {
 	}
 	return &Engine{
 		nl:      nl,
+		prog:    programFor(nl),
 		delays:  delays,
 		values:  make([]uint8, len(nl.Gates)),
 		arrival: make([]float64, len(nl.Gates)),
@@ -60,15 +145,16 @@ func (e *Engine) SetDelays(delays delay.Table) {
 	e.delays = delays
 }
 
-// Clone returns a new Engine over the same (immutable, shared) netlist and
-// delay table but with its own value/arrival scratch buffers. Cloning is the
-// cheap path to parallel evaluation: clones may run concurrently with each
-// other and with the original, as long as nobody calls SetDelays while runs
-// are in flight. See Pool for clone reuse.
+// Clone returns a new Engine over the same (immutable, shared) netlist,
+// compiled program and delay table but with its own value/arrival scratch
+// buffers. Cloning is the cheap path to parallel evaluation: clones may run
+// concurrently with each other and with the original, as long as nobody
+// calls SetDelays while runs are in flight. See Pool for clone reuse.
 func (e *Engine) Clone() *Engine {
 	engineClones.Inc()
 	return &Engine{
 		nl:      e.nl,
+		prog:    e.prog,
 		delays:  e.delays,
 		values:  make([]uint8, len(e.nl.Gates)),
 		arrival: make([]float64, len(e.nl.Gates)),
@@ -84,6 +170,15 @@ func (e *Engine) GatesPerRun() int { return len(e.nl.Order) }
 
 // Run evaluates the netlist for the given primary-input vector.
 //
+// Every gate's arrival follows the floating-mode rule: Input and constant
+// nets arrive at 0; any other gate at its delay plus the earliest arrival
+// among fanins holding the gate's controlling value if there is one, else
+// the latest fanin arrival. The two-input kernels evaluate that rule
+// branch-free, as min(min(ta+add[va], tb+add[vb]), max(ta, tb)) with
+// add[v] = 0 for the controlling value and +Inf otherwise (see bitslice.go);
+// the result equals the rule bit for bit because arrivals are never
+// negative, NaN or -0 (inputs start at +0 and delays are ≥ 0).
+//
 // Aliasing contract: the returned slices are owned by the engine and are
 // overwritten in place by the next Run call — callers must finish reading
 // (or copy) them before re-running the engine, and must never retain them
@@ -91,89 +186,86 @@ func (e *Engine) GatesPerRun() int { return len(e.nl.Order) }
 // accidentally rely on stable storage fail loudly rather than silently when
 // engine internals change.
 func (e *Engine) Run(inputs []uint8) (values []uint8, arrival []float64) {
-	nl := e.nl
-	if len(inputs) != len(nl.Inputs) {
-		panic(fmt.Sprintf("sim: %d inputs for netlist with %d", len(inputs), len(nl.Inputs)))
+	if len(inputs) != len(e.nl.Inputs) {
+		panic(fmt.Sprintf("sim: %d inputs for netlist with %d", len(inputs), len(e.nl.Inputs)))
 	}
-	for i, g := range nl.Inputs {
-		e.values[g] = inputs[i] & 1
-		e.arrival[g] = 0
+	p, vals, arr, d := e.prog, e.values, e.arrival, e.delays.Ps
+	for i, g := range e.nl.Inputs {
+		vals[g] = inputs[i] & 1
+		arr[g] = 0
 	}
-	for _, g := range nl.Order {
-		gate := &nl.Gates[g]
-		switch gate.Kind {
-		case netlist.Input:
-			continue
-		case netlist.Const0:
-			e.values[g] = 0
-			e.arrival[g] = 0
-			continue
-		case netlist.Const1:
-			e.values[g] = 1
-			e.arrival[g] = 0
-			continue
-		}
-		d := e.delays.Ps[g]
-		ctrl, hasCtrl := gate.Kind.ControllingValue()
-		var val uint8
-		var t float64
-		switch gate.Kind {
-		case netlist.Buf:
-			val = e.values[gate.Fanin[0]]
-			t = e.arrival[gate.Fanin[0]]
-		case netlist.Not:
-			val = e.values[gate.Fanin[0]] ^ 1
-			t = e.arrival[gate.Fanin[0]]
+	ops := p.ops
+	for i := range ops {
+		o := &ops[i]
+		switch o.kind {
+		case opAnd2:
+			va, vb := vals[o.a], vals[o.b]
+			ta, tb := arr[o.a], arr[o.b]
+			vals[o.out] = va&vb ^ o.inv
+			arr[o.out] = min(min(ta+andAdd[va&1], tb+andAdd[vb&1]), max(ta, tb)) + d[o.out]
+		case opOr2:
+			va, vb := vals[o.a], vals[o.b]
+			ta, tb := arr[o.a], arr[o.b]
+			vals[o.out] = (va | vb) ^ o.inv
+			arr[o.out] = min(min(ta+orAdd[va&1], tb+orAdd[vb&1]), max(ta, tb)) + d[o.out]
+		case opXor2:
+			vals[o.out] = vals[o.a] ^ vals[o.b] ^ o.inv
+			arr[o.out] = max(arr[o.a], arr[o.b]) + d[o.out]
+		case opBuf:
+			vals[o.out] = vals[o.a] ^ o.inv
+			arr[o.out] = arr[o.a] + d[o.out]
+		case opConst:
+			vals[o.out] = o.inv
+			arr[o.out] = 0
 		default:
-			// Compute value and the determination time in one scan.
-			controlled := false
-			tCtrl := math.Inf(1)
-			tMax := 0.0
-			switch gate.Kind {
-			case netlist.And, netlist.Nand:
-				val = 1
-			case netlist.Or, netlist.Nor:
-				val = 0
-			default:
-				val = 0
-			}
-			for _, f := range gate.Fanin {
-				v := e.values[f]
-				ta := e.arrival[f]
-				switch gate.Kind {
-				case netlist.And, netlist.Nand:
-					val &= v
-				case netlist.Or, netlist.Nor:
-					val |= v
-				case netlist.Xor, netlist.Xnor:
-					val ^= v
-				}
-				if hasCtrl && v == ctrl {
-					controlled = true
-					if ta < tCtrl {
-						tCtrl = ta
-					}
-				}
-				if ta > tMax {
-					tMax = ta
-				}
-			}
-			switch gate.Kind {
-			case netlist.Nand, netlist.Nor, netlist.Xnor:
-				val ^= 1
-			}
-			if controlled {
-				t = tCtrl
-			} else {
-				t = tMax
-			}
+			runNary(o, p.fanin, vals, arr, d)
 		}
-		e.values[g] = val
-		e.arrival[g] = t + d
 	}
 	levelizedPasses.Inc()
-	gateEvals.Add(uint64(len(nl.Order)))
-	return e.values, e.arrival
+	gateEvals.Add(uint64(len(e.nl.Order)))
+	return vals, arr
+}
+
+// runNary evaluates a gate whose fanin count is not two (the
+// carry-lookahead adder's group terms take up to five fanins) with the
+// floating-mode rule as a fanin scan.
+func runNary(o *op, fanins []int32, vals []uint8, arr, d []float64) {
+	kind := netlist.Kind(o.nk)
+	ctrl, hasCtrl := kind.ControllingValue()
+	var val uint8
+	switch kind {
+	case netlist.And, netlist.Nand:
+		val = 1
+	}
+	controlled := false
+	tCtrl := math.Inf(1)
+	tMax := 0.0
+	for _, f := range fanins[o.a : o.a+o.b] {
+		v, ta := vals[f], arr[f]
+		switch kind {
+		case netlist.And, netlist.Nand:
+			val &= v
+		case netlist.Or, netlist.Nor:
+			val |= v
+		case netlist.Xor, netlist.Xnor:
+			val ^= v
+		}
+		if hasCtrl && v == ctrl {
+			controlled = true
+			if ta < tCtrl {
+				tCtrl = ta
+			}
+		}
+		if ta > tMax {
+			tMax = ta
+		}
+	}
+	t := tMax
+	if controlled {
+		t = tCtrl
+	}
+	vals[o.out] = val ^ o.inv
+	arr[o.out] = t + d[o.out]
 }
 
 // event is one scheduled output transition in the event-driven simulator.
