@@ -249,7 +249,7 @@ func main() {
 			fmt.Printf("lossy link: %+v (seed %d)\n", plan, *faultSeed)
 		}
 		for i := 0; i < *sessions; i++ {
-			res, attempts, err := attest.RunSessionRetry(v, agent, link, policy)
+			res, attempts, err := attest.RunSessionRetry(context.Background(), v, agent, link, policy)
 			check(err)
 			report(i, attempts, res)
 		}

@@ -90,7 +90,7 @@ func main() {
 		}
 		defer conn.Close()
 		for i := 0; i < n; i++ {
-			res, err := attest.Request(conn, verifier, link)
+			res, err := attest.RequestContext(context.Background(), conn, verifier, link)
 			if err != nil {
 				log.Fatal(err)
 			}

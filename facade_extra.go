@@ -1,6 +1,7 @@
 package pufatt
 
 import (
+	"context"
 	"errors"
 	"net"
 	"net/http"
@@ -279,9 +280,10 @@ func NewFaultyLink(agent attest.ProverAgent, plan FaultPlan, seed uint64) *Fault
 func IsTransport(err error) bool { return attest.IsTransport(err) }
 
 // RunSessionRetry attests over the simulated link with a transport-fault
-// retry budget; a verdict — accepted or rejected — is never retried.
-func RunSessionRetry(v *Verifier, agent attest.ProverAgent, link Link, policy RetryPolicy) (Result, int, error) {
-	return attest.RunSessionRetry(v, agent, link, policy)
+// retry budget until a session completes or ctx ends; a verdict — accepted
+// or rejected — is never retried.
+func RunSessionRetry(ctx context.Context, v *Verifier, agent attest.ProverAgent, link Link, policy RetryPolicy) (Result, int, error) {
+	return attest.RunSessionRetry(ctx, v, agent, link, policy)
 }
 
 // Observability: telemetry instruments, attestation tracing, and the HTTP

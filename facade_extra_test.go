@@ -1,6 +1,7 @@
 package pufatt
 
 import (
+	"context"
 	"net"
 	"strings"
 	"testing"
@@ -131,7 +132,7 @@ func TestServeProverFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	res, err := attest.Request(conn, verifier, DefaultLink())
+	res, err := attest.RequestContext(context.Background(), conn, verifier, DefaultLink())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func TestDebugVarsConcurrentJSON(t *testing.T) {
 			if i%3 == 0 {
 				agent = jitter // keep health transitions and alerts churning
 			}
-			_, _, _ = o.tel.runSessionRetry(context.Background(), o.verifier, agent, DefaultLink(), RetryPolicy{})
+			_, _, _ = o.tel.RunSessionRetry(context.Background(), o.verifier, agent, DefaultLink(), RetryPolicy{})
 			o.tick()
 		}
 	}()

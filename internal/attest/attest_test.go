@@ -2,6 +2,7 @@ package attest
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"strings"
 	"testing"
@@ -283,7 +284,7 @@ func TestTCPTransport(t *testing.T) {
 	}
 	defer conn.Close()
 	for i := 0; i < 2; i++ {
-		res, err := Request(conn, f.verifier, DefaultLink())
+		res, err := RequestContext(context.Background(), conn, f.verifier, DefaultLink())
 		if err != nil {
 			t.Fatal(err)
 		}

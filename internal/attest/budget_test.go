@@ -1,6 +1,7 @@
 package attest
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestExhaustedBudgetNotRetriedAsTransport(t *testing.T) {
 
 	// The budget is gone; a retried session must fail once, terminally,
 	// without burning the transport budget on attempts.
-	_, attempts, err := RunSessionRetry(f.verifier, f.prover, DefaultLink(),
+	_, attempts, err := RunSessionRetry(context.Background(), f.verifier, f.prover, DefaultLink(),
 		RetryPolicy{MaxAttempts: 5})
 	if !errors.Is(err, crp.ErrExhausted) {
 		t.Fatalf("got %v, want ErrExhausted", err)

@@ -410,7 +410,7 @@ func (f *Fleet) attestNode(ctx context.Context, id int, link Link, opts SweepOpt
 		policy = RetryPolicy{MaxAttempts: 1} // half-open: one probe, no retries
 	}
 
-	res, attempts, err := T.runSessionRetry(ctx, v, agent, link, policy)
+	res, attempts, err := T.RunSessionRetry(ctx, v, agent, link, policy)
 	out := nodeOutcome{
 		res:      NodeResult{NodeID: id, Result: res, Err: err, Attempts: attempts},
 		attempts: attempts,

@@ -46,8 +46,27 @@ func (l Link) String() string {
 // protocol step lands in the flight-recorder journal under the session's
 // trace ID.
 func RunSession(v *Verifier, agent ProverAgent, link Link) (Result, error) {
-	res, _, err := tel.runSession(v, agent, link, 0)
+	res, _, err := tel.session(telemetry.TraceContext{}, v, link, inMemory(agent), 0)
 	return res, err
+}
+
+// exchange is one transport's half of a session: deliver the challenge
+// (tc is the session span's context, for the prover to adopt) and return
+// the prover's response, its simulated compute seconds, and any round-trip
+// latency the channel injected on top of the link model. span names the
+// session span the transport records under.
+type exchange struct {
+	span string
+	step func(ch Challenge, tc telemetry.TraceContext) (resp Response, compute, injected float64, err error)
+}
+
+// inMemory is the exchange over the simulated link: the agent call IS the
+// challenge send and the response receive.
+func inMemory(agent ProverAgent) exchange {
+	return exchange{span: "attest.session", step: func(ch Challenge, _ telemetry.TraceContext) (Response, float64, float64, error) {
+		resp, compute, err := agent.Respond(ch)
+		return resp, compute, 0, err
+	}}
 }
 
 // secondsToDuration converts a simulated-seconds cost to a time.Duration
@@ -56,20 +75,18 @@ func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// runSession is RunSession against an explicit telemetry bundle (the fleet
-// injects its own), reporting the session's trace ID so failure handlers
-// can correlate the journal with the span tree. attempt is the 0-based
-// retry index, folded into the device health observation.
-func (t *Telemetry) runSession(v *Verifier, agent ProverAgent, link Link, attempt int) (Result, telemetry.TraceID, error) {
-	return t.runSessionIn(telemetry.TraceContext{}, v, agent, link, attempt)
-}
-
-// runSessionIn is runSession adopted into an existing trace: a valid
+// session is the verifier side of one attestation session, whatever the
+// transport: it holds the epoch gate, claims the challenge, runs the
+// transport's exchange, and applies the verdict rule elapsed =
+// link(challenge) + compute + link(response) ≤ δ, recording spans, journal
+// events and device health against t. It reports the session's trace ID so
+// failure handlers can correlate the journal with the span tree. A valid
 // parent makes the session span a member of the caller's trace (the
 // cluster tier stitches its route/queue/replication spans around the
-// session this way), an invalid one opens a fresh trace as before.
-func (t *Telemetry) runSessionIn(parent telemetry.TraceContext, v *Verifier, agent ProverAgent, link Link, attempt int) (Result, telemetry.TraceID, error) {
-	sp := t.Tracer.StartSpanInTrace("attest.session", parent)
+// session this way); an invalid one opens a fresh trace. attempt is the
+// 0-based retry index, folded into the device health observation.
+func (t *Telemetry) session(parent telemetry.TraceContext, v *Verifier, link Link, x exchange, attempt int) (Result, telemetry.TraceID, error) {
+	sp := t.Tracer.StartSpanInTrace(x.span, parent)
 	defer sp.Finish()
 	trace := sp.TraceID()
 	device := v.Device
@@ -109,11 +126,11 @@ func (t *Telemetry) runSessionIn(parent telemetry.TraceContext, v *Verifier, age
 			fmt.Sprintf("remaining=%d", remaining))
 	}
 
-	// The in-memory agent call IS the challenge send + response receive;
-	// both events bracket it so journal order matches the wire protocol.
+	// The send and receive events bracket the exchange so journal order
+	// matches the wire protocol.
 	t.journal(telemetry.EventChallengeSent, trace, ch.Session, device, "")
 	spr := sp.Child("puf_eval")
-	resp, compute, err := agent.Respond(ch)
+	resp, compute, injected, err := x.step(ch, sp.Context())
 	spr.Finish()
 	if err != nil {
 		sp.SetAttr("error", err.Error())
@@ -124,7 +141,11 @@ func (t *Telemetry) runSessionIn(parent telemetry.TraceContext, v *Verifier, age
 		fmt.Sprintf("helpers=%d compute=%.4gs", len(resp.Helpers), compute))
 
 	spv := sp.Child("verify")
-	elapsed := link.TransferSeconds(ch.Bits()) + compute + link.TransferSeconds(resp.Bits())
+	up, down := link.TransferSeconds(ch.Bits()), link.TransferSeconds(resp.Bits())
+	// An injected channel delay (a jitter fault) delivered the frames
+	// intact but late; the timing decision is modelled, so the transport
+	// reports those seconds to be folded into the round trip they inflated.
+	elapsed := up + compute + down + injected
 	res := v.verifyObserved(t, trace, ch, resp, elapsed)
 	spv.Finish()
 
@@ -132,11 +153,11 @@ func (t *Telemetry) runSessionIn(parent telemetry.TraceContext, v *Verifier, age
 	// the session start, so /debug/traces shows where the round trip went
 	// even though no local clock observed these phases.
 	base := sp.Start()
-	d1 := secondsToDuration(link.TransferSeconds(ch.Bits()))
+	d1 := secondsToDuration(up)
 	d2 := secondsToDuration(compute)
 	sp.Segment("link.challenge", base, d1)
 	sp.Segment("compute", base.Add(d1), d2)
-	sp.Segment("link.response", base.Add(d1+d2), secondsToDuration(link.TransferSeconds(resp.Bits())))
+	sp.Segment("link.response", base.Add(d1+d2), secondsToDuration(down))
 
 	sp.SetAttr("verdict", verdictLabel(res))
 	sp.SetAttr("elapsed_seconds", strconv.FormatFloat(elapsed, 'g', -1, 64))

@@ -81,7 +81,7 @@ func (o *obsFixture) tick() {
 func (o *obsFixture) sessions(t *testing.T, agent ProverAgent, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, _, err := o.tel.runSessionRetry(context.Background(), o.verifier, agent, DefaultLink(), RetryPolicy{}); err != nil {
+		if _, _, err := o.tel.RunSessionRetry(context.Background(), o.verifier, agent, DefaultLink(), RetryPolicy{}); err != nil {
 			t.Fatalf("session error: %v", err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	// Calibrate the SLO off one honest session so the rules are tied to
 	// this fixture's actual timing, then shrink the burn windows to a few
 	// ticks: fast = 2 ticks, slow = 4 ticks (inclusive bounds).
-	res, _, err := o.tel.runSessionRetry(context.Background(), o.verifier, o.prover, DefaultLink(), RetryPolicy{})
+	res, _, err := o.tel.RunSessionRetry(context.Background(), o.verifier, o.prover, DefaultLink(), RetryPolicy{})
 	if err != nil || !res.Accepted {
 		t.Fatalf("calibration session: accepted=%v err=%v", res.Accepted, err)
 	}

@@ -21,7 +21,7 @@ func TestAlertTriggersProfileCapture(t *testing.T) {
 
 	// Calibrate the SLO off an honest session, then shrink the burn
 	// windows to a few ticks so the step clock can saturate them.
-	res, _, err := o.tel.runSessionRetry(context.Background(), o.verifier, o.prover, DefaultLink(), RetryPolicy{})
+	res, _, err := o.tel.RunSessionRetry(context.Background(), o.verifier, o.prover, DefaultLink(), RetryPolicy{})
 	if err != nil || !res.Accepted {
 		t.Fatalf("calibration session: accepted=%v err=%v", res.Accepted, err)
 	}

@@ -2,6 +2,7 @@ package attest
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -70,7 +71,7 @@ func TestRollingReenrollLifecycle(t *testing.T) {
 	faulty := NewFaultyLink(f.prover, FaultPlan{Drop: 1, MaxFaults: 3}, 901)
 	sessions := 0
 	run := func(stage string) {
-		res, _, err := RunSessionRetry(f.verifier, faulty, DefaultLink(), RetryPolicy{MaxAttempts: 5})
+		res, _, err := RunSessionRetry(context.Background(), f.verifier, faulty, DefaultLink(), RetryPolicy{MaxAttempts: 5})
 		if err != nil {
 			t.Fatalf("%s session %d: %v", stage, sessions, err)
 		}
@@ -162,7 +163,7 @@ func TestExhaustionTypedErrorAndRecovery(t *testing.T) {
 		t.Fatal("exhaustion classified as transport")
 	}
 	// Terminal: the retry loop must not burn attempts on it.
-	if _, attempts, rerr := RunSessionRetry(f.verifier, f.prover, DefaultLink(),
+	if _, attempts, rerr := RunSessionRetry(context.Background(), f.verifier, f.prover, DefaultLink(),
 		RetryPolicy{MaxAttempts: 5}); attempts != 1 || !IsExhausted(rerr) {
 		t.Fatalf("retrying an exhausted budget: attempts=%d err=%v", attempts, rerr)
 	}

@@ -120,9 +120,9 @@ type RetryPolicy struct {
 	// all saw the same outage.
 	JitterSeed uint64
 	// AttemptTimeout bounds each individual attempt (0 = no per-attempt
-	// bound). RequestWithRetry derives a per-attempt context from it, so a
+	// bound). The retry loop derives a per-attempt context from it, so a
 	// dropped frame costs one timeout, not the whole budget's worth of
-	// waiting.
+	// waiting; the caller's own deadline ends the loop instead.
 	AttemptTimeout time.Duration
 	// Sleep is the clock used between attempts; nil means time.Sleep.
 	// Tests and simulated deployments inject a no-op or recorder.
@@ -224,20 +224,12 @@ func (p RetryPolicy) do(t *Telemetry, device string, op func(attempt int) error)
 }
 
 // RunSessionRetry performs attestation sessions over the simulated link
-// until one completes or the transport budget is exhausted. A completed
-// session's verdict — accepted or rejected — is final and never retried;
-// only transport faults (from a FaultyLink or a custom agent transport)
-// consume the budget.
-func RunSessionRetry(v *Verifier, agent ProverAgent, link Link, policy RetryPolicy) (Result, int, error) {
-	return RunSessionRetryContext(context.Background(), v, agent, link, policy)
-}
-
-// RunSessionRetryContext is RunSessionRetry bound to a context: the loop
-// checks ctx before every attempt, so a cancelled sweep stops burning its
-// retry budget mid-node. A context error is not a transport fault — it is
-// returned immediately without consuming further attempts.
-func RunSessionRetryContext(ctx context.Context, v *Verifier, agent ProverAgent, link Link, policy RetryPolicy) (Result, int, error) {
-	return tel.runSessionRetry(ctx, v, agent, link, policy)
+// until one completes, the transport budget is exhausted, or ctx ends. A
+// completed session's verdict — accepted or rejected — is final and never
+// retried; only transport faults (from a FaultyLink or a custom agent
+// transport) consume the budget.
+func RunSessionRetry(ctx context.Context, v *Verifier, agent ProverAgent, link Link, policy RetryPolicy) (Result, int, error) {
+	return tel.RunSessionRetry(ctx, v, agent, link, policy)
 }
 
 // RunSessionRetry is the retry loop against this explicit telemetry
@@ -245,27 +237,50 @@ func RunSessionRetryContext(ctx context.Context, v *Verifier, agent ProverAgent,
 // record into their own registry rather than the package default. It
 // honours a trace parent installed with WithTraceParent.
 func (t *Telemetry) RunSessionRetry(ctx context.Context, v *Verifier, agent ProverAgent, link Link, policy RetryPolicy) (Result, int, error) {
-	return t.runSessionRetry(ctx, v, agent, link, policy)
+	return t.retry(ctx, v, link, policy, func(context.Context) (exchange, func(), error) {
+		return inMemory(agent), func() {}, nil
+	})
 }
 
-// runSessionRetry is the retry loop against an explicit telemetry bundle.
-// It is also the failure boundary: a terminal transport error feeds the
-// device health registry (an availability datum) and — like a rejected
-// verdict — triggers a flight-recorder dump carrying the failing session's
-// trace ID.
-func (t *Telemetry) runSessionRetry(ctx context.Context, v *Verifier, agent ProverAgent, link Link, policy RetryPolicy) (Result, int, error) {
+// retry is the retry loop of every transport, and its failure boundary.
+// Each attempt opens a fresh channel (open receives the attempt's context,
+// bounded by policy.AttemptTimeout when set) and runs one session over it,
+// adopted into the trace parent carried by ctx. Once ctx has ended the
+// loop stops with ErrCancelled — no further attempt, no backoff, no
+// transport verdict — while an expired per-attempt timeout is an
+// ErrLinkTimeout transport fault and is retried. A terminal transport
+// error feeds the device health registry (an availability datum) and —
+// like a rejected verdict — triggers a flight-recorder dump carrying the
+// failing session's trace ID.
+func (t *Telemetry) retry(ctx context.Context, v *Verifier, link Link, policy RetryPolicy, open func(context.Context) (exchange, func(), error)) (Result, int, error) {
 	var (
 		res   Result
 		trace telemetry.TraceID
 	)
 	parent, _ := TraceParent(ctx)
 	attempts, err := policy.do(t, v.Device, func(attempt int) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("%w: %v", ErrCancelled, cerr)
+		if cerr := ended(ctx); cerr != nil {
+			return cancelled(cerr)
 		}
-		var opErr error
-		res, trace, opErr = t.runSessionIn(parent, v, agent, link, attempt)
-		return opErr
+		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
+		if policy.AttemptTimeout > 0 {
+			attemptCtx, cancel = context.WithTimeout(ctx, policy.AttemptTimeout)
+		}
+		defer cancel()
+		x, release, err := open(attemptCtx)
+		if err == nil {
+			defer release()
+			res, trace, err = t.session(parent, v, link, x, attempt)
+		}
+		switch {
+		case err == nil:
+			return nil
+		case ended(ctx) != nil:
+			return cancelled(ended(ctx))
+		case ended(attemptCtx) != nil:
+			return Transport(fmt.Errorf("%w: attempt timed out after %v", ErrLinkTimeout, policy.AttemptTimeout))
+		}
+		return err
 	})
 	switch {
 	case err != nil && IsTransport(err):
@@ -281,4 +296,24 @@ func (t *Telemetry) runSessionRetry(ctx context.Context, v *Verifier, agent Prov
 		}
 	}
 	return res, attempts, err
+}
+
+// ended reports why ctx is over, or nil. A deadline that has passed counts
+// even before the context's own timer marks it done: the conn deadline
+// guardConn derived from it can fail I/O first.
+func ended(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// cancelled reports an attempt abandoned because the caller's context
+// ended. The cause is formatted, not wrapped: wrapping would let
+// IsTransport match context.DeadlineExceeded and retry a dead context.
+func cancelled(cause error) error {
+	return fmt.Errorf("%w: %v", ErrCancelled, cause)
 }

@@ -318,7 +318,7 @@ func TestFaultyLinkClassification(t *testing.T) {
 			}
 			// The budget is spent (MaxFaults 1): a retry must recover.
 			link2 := NewFaultyLink(f.prover, PlanFor(tc.class, 0.25, 1), 78)
-			res, attempts, err := RunSessionRetry(f.verifier, link2, DefaultLink(), RetryPolicy{MaxAttempts: 3})
+			res, attempts, err := RunSessionRetry(context.Background(), f.verifier, link2, DefaultLink(), RetryPolicy{MaxAttempts: 3})
 			if err != nil {
 				t.Fatalf("retry did not recover: %v", err)
 			}
@@ -340,7 +340,7 @@ func TestRejectionNeverRetried(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		f.prover.Image.Mem[f.image.Layout.PayloadAddr+i] ^= 0x1
 	}
-	res, attempts, err := RunSessionRetry(f.verifier, f.prover, DefaultLink(), RetryPolicy{MaxAttempts: 5})
+	res, attempts, err := RunSessionRetry(context.Background(), f.verifier, f.prover, DefaultLink(), RetryPolicy{MaxAttempts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,14 +496,14 @@ func TestTCPDuplicateDesyncClassified(t *testing.T) {
 	}
 	defer conn.Close()
 	fc := NewFaultyConn(conn, PlanFor(FaultDuplicate, 0, 1), 5)
-	res, err := Request(fc, f.verifier, DefaultLink())
+	res, err := RequestContext(context.Background(), fc, f.verifier, DefaultLink())
 	if err != nil || !res.Accepted {
 		t.Fatalf("duplicated session should still complete: %v %+v", err, res)
 	}
 	// The duplicated challenge produced a second response that is still
 	// in the stream; the next session must detect it as stale transport
 	// state, not as a prover rejection.
-	_, err = Request(fc, f.verifier, DefaultLink())
+	_, err = RequestContext(context.Background(), fc, f.verifier, DefaultLink())
 	if !errors.Is(err, ErrStaleFrame) {
 		t.Fatalf("err = %v, want ErrStaleFrame", err)
 	}
@@ -516,7 +516,7 @@ func TestTCPDuplicateDesyncClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if res, err := Request(fresh, f.verifier, DefaultLink()); err != nil || !res.Accepted {
+	if res, err := RequestContext(context.Background(), fresh, f.verifier, DefaultLink()); err != nil || !res.Accepted {
 		t.Fatalf("fresh connection should recover: %v %+v", err, res)
 	}
 }
@@ -590,7 +590,7 @@ func TestServerCloseIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if res, err := Request(conn, f.verifier, DefaultLink()); err != nil || !res.Accepted {
+	if res, err := RequestContext(context.Background(), conn, f.verifier, DefaultLink()); err != nil || !res.Accepted {
 		t.Fatalf("warmup session failed: %v", err)
 	}
 	done := make(chan error, 1)

@@ -43,7 +43,19 @@ var ErrBadTime = errors.New("attest: invalid compute-time trailer")
 // Serve answers attestation challenges on the stream until EOF. Each
 // exchange is: challenge frame in, response frame + time trailer out.
 func Serve(conn io.ReadWriter, agent ProverAgent) error {
+	return serveExchanges(conn, agent, 0)
+}
+
+// serveExchanges is the prover's exchange loop, shared by Serve and
+// Server: read a challenge, answer it inside an adopted span, write the
+// response and the compute-time trailer — until clean EOF (nil) or the
+// first fault. A positive timeout re-arms a net.Conn's deadline before
+// each exchange.
+func serveExchanges(conn io.ReadWriter, agent ProverAgent, timeout time.Duration) error {
 	for {
+		if nc, ok := conn.(net.Conn); ok && timeout > 0 {
+			_ = nc.SetDeadline(time.Now().Add(timeout))
+		}
 		ch, tc, err := ReadChallengeTraced(conn)
 		if errors.Is(err, io.EOF) {
 			return nil
@@ -94,108 +106,16 @@ func ServeContext(ctx context.Context, conn net.Conn, agent ProverAgent) error {
 	return err
 }
 
-// Request performs one attestation over the stream from the verifier side,
-// using link to model the constrained last hop.
-func Request(conn io.ReadWriter, v *Verifier, link Link) (Result, error) {
-	return RequestContext(context.Background(), conn, v, link)
-}
-
 // RequestContext performs one attestation with a context governing the
 // exchange: if conn is a net.Conn, the context's deadline is applied to it
-// and cancellation aborts in-flight reads. A session that completes yields
-// a verdict; every other failure mode is a transport fault.
+// and cancellation aborts in-flight reads; a trace parent installed with
+// WithTraceParent is adopted. A session that completes yields a verdict;
+// every other failure mode except an exhausted seed budget is a transport
+// fault.
 func RequestContext(ctx context.Context, conn io.ReadWriter, v *Verifier, link Link) (Result, error) {
-	res, _, err := requestTraced(ctx, conn, v, link, 0)
+	parent, _ := TraceParent(ctx)
+	res, _, err := tel.session(parent, v, link, overStream(ctx, conn), 0)
 	return res, err
-}
-
-// requestTraced is RequestContext reporting the session's trace ID (for
-// flight-dump correlation) and journalling each protocol step. The
-// challenge frame carries the session span's context, so the remote
-// prover's span lands in the same trace.
-func requestTraced(ctx context.Context, conn io.ReadWriter, v *Verifier, link Link, attempt int) (Result, telemetry.TraceID, error) {
-	sp := tel.Tracer.StartSpan("attest.session.tcp")
-	defer sp.Finish()
-	trace := sp.TraceID()
-	device := v.Device
-	if device != "" {
-		sp.SetAttr("device", device)
-	}
-	if nc, ok := conn.(net.Conn); ok {
-		stop := guardConn(ctx, nc)
-		defer stop()
-	}
-	spc := sp.Child("challenge")
-	ch, err := v.NewSession()
-	spc.Finish()
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		return Result{}, trace, err
-	}
-	sp.SetAttr("session", fmt.Sprintf("%d", ch.Session))
-	tel.journal(telemetry.EventSessionOpen, trace, ch.Session, device, "")
-	if v.Seeds != nil {
-		remaining := v.BudgetRemaining()
-		tel.Health.ObserveSeedClaim(device, remaining)
-		tel.journal(telemetry.EventSeedClaim, trace, ch.Session, device,
-			fmt.Sprintf("remaining=%d", remaining))
-	}
-	spx := sp.Child("puf_eval")
-	if err := WriteChallengeTraced(conn, ch, sp.Context()); err != nil {
-		spx.Finish()
-		sp.SetAttr("error", err.Error())
-		return Result{}, trace, ctxErr(ctx, err)
-	}
-	tel.journal(telemetry.EventChallengeSent, trace, ch.Session, device, "")
-	resp, err := ReadResponse(conn)
-	spx.Finish()
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		return Result{}, trace, ctxErr(ctx, err)
-	}
-	if resp.Session != ch.Session {
-		// A well-formed response for a *different* session is a stream
-		// desync (a duplicated or replayed frame still in flight), not a
-		// prover verdict: classify it as transport so the retry path
-		// redials onto a clean stream.
-		err := Transport(fmt.Errorf("%w: response for session %d, want %d",
-			ErrStaleFrame, resp.Session, ch.Session))
-		sp.SetAttr("error", err.Error())
-		return Result{}, trace, err
-	}
-	compute, err := readTime(conn)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		return Result{}, trace, ctxErr(ctx, err)
-	}
-	tel.journal(telemetry.EventChecksumReceived, trace, ch.Session, device,
-		fmt.Sprintf("helpers=%d compute=%.4gs", len(resp.Helpers), compute))
-	spv := sp.Child("verify")
-	elapsed := link.TransferSeconds(ChallengeBits) + compute + link.TransferSeconds(resp.Bits())
-	// An injected jitter fault delivers frames intact but late. The wall
-	// clock saw that latency but the timing decision is modelled (see the
-	// timing note above), so a jitter-injecting conn reports the added
-	// seconds here to be folded into the round trip it inflated.
-	if j, ok := conn.(interface{ InjectedRTTSeconds() float64 }); ok {
-		elapsed += j.InjectedRTTSeconds()
-	}
-	res := v.verifyObserved(tel, trace, ch, resp, elapsed)
-	spv.Finish()
-
-	// Segments for the modelled portions of the round trip (the local
-	// clock only saw wire I/O; the security-relevant timing is modelled).
-	base := sp.Start()
-	d1 := secondsToDuration(link.TransferSeconds(ChallengeBits))
-	d2 := secondsToDuration(compute)
-	sp.Segment("link.challenge", base, d1)
-	sp.Segment("compute", base.Add(d1), d2)
-	sp.Segment("link.response", base.Add(d1+d2), secondsToDuration(link.TransferSeconds(resp.Bits())))
-
-	sp.SetAttr("verdict", verdictLabel(res))
-	tel.journal(telemetry.EventVerifyOutcome, trace, ch.Session, device,
-		fmt.Sprintf("verdict=%s reason=%q elapsed=%.4gs", verdictLabel(res), res.Reason, elapsed))
-	tel.observeHealth(device, res, attempt)
-	return res, trace, nil
 }
 
 // RequestWithRetry attests with the given retry policy, dialing a fresh
@@ -205,53 +125,58 @@ func requestTraced(ctx context.Context, conn io.ReadWriter, v *Verifier, link Li
 // that produced it and is never retried. It reports the verdict, the number
 // of attempts, and the terminal error if the budget was exhausted.
 func RequestWithRetry(ctx context.Context, dial func() (net.Conn, error), v *Verifier, link Link, policy RetryPolicy) (Result, int, error) {
-	var (
-		res   Result
-		trace telemetry.TraceID
-	)
-	attempts, err := policy.do(tel, v.Device, func(attempt int) error {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		attemptCtx, cancel := ctx, func() {}
-		if policy.AttemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, policy.AttemptTimeout)
-		}
-		defer cancel()
+	return tel.retry(ctx, v, link, policy, func(attemptCtx context.Context) (exchange, func(), error) {
 		conn, err := dial()
 		if err != nil {
-			return Transport(err)
+			return exchange{}, nil, Transport(err)
 		}
-		defer conn.Close()
-		var opErr error
-		res, trace, opErr = requestTraced(attemptCtx, conn, v, link, attempt)
-		if opErr != nil && ctx.Err() == nil && attemptCtx.Err() != nil {
-			// The per-attempt deadline fired, not the caller's context:
-			// report it as a link timeout so the budget logic retries.
-			return Transport(fmt.Errorf("%w: attempt timed out after %v", ErrLinkTimeout, policy.AttemptTimeout))
-		}
-		return opErr
+		return overStream(attemptCtx, conn), func() { conn.Close() }, nil
 	})
-	switch {
-	case err != nil && IsTransport(err):
-		tel.Health.Observe(v.Device, telemetry.SessionObservation{
-			Outcome: telemetry.OutcomeTransport, Retries: attempts - 1,
-		})
-		if _, derr := tel.flightDump("transport", trace); derr != nil {
-			tel.journal(telemetry.EventVerifyOutcome, trace, 0, v.Device, "flight dump failed: "+derr.Error())
+}
+
+// overStream is the exchange over a byte stream. The challenge frame
+// carries the session span's context, so the remote prover's span lands in
+// the same trace.
+func overStream(ctx context.Context, conn io.ReadWriter) exchange {
+	return exchange{span: "attest.session.tcp", step: func(ch Challenge, tc telemetry.TraceContext) (Response, float64, float64, error) {
+		if nc, ok := conn.(net.Conn); ok {
+			stop := guardConn(ctx, nc)
+			defer stop()
 		}
-	case err == nil && !res.Accepted:
-		if _, derr := tel.flightDump("rejected", trace); derr != nil {
-			tel.journal(telemetry.EventVerifyOutcome, trace, 0, v.Device, "flight dump failed: "+derr.Error())
+		if err := WriteChallengeTraced(conn, ch, tc); err != nil {
+			return Response{}, 0, 0, ctxErr(ctx, err)
 		}
-	}
-	return res, attempts, err
+		resp, err := ReadResponse(conn)
+		if err != nil {
+			return Response{}, 0, 0, ctxErr(ctx, err)
+		}
+		if resp.Session != ch.Session {
+			// A well-formed response for a *different* session is a stream
+			// desync (a duplicated or replayed frame still in flight), not a
+			// prover verdict: classify it as transport so the retry path
+			// redials onto a clean stream.
+			return Response{}, 0, 0, Transport(fmt.Errorf("%w: response for session %d, want %d",
+				ErrStaleFrame, resp.Session, ch.Session))
+		}
+		compute, err := readTime(conn)
+		if err != nil {
+			return Response{}, 0, 0, ctxErr(ctx, err)
+		}
+		// A jitter-injecting conn delivered frames intact but late: the
+		// wall clock saw that latency but the timing decision is modelled
+		// (see the timing note above), so it reports the added seconds.
+		var injected float64
+		if j, ok := conn.(interface{ InjectedRTTSeconds() float64 }); ok {
+			injected = j.InjectedRTTSeconds()
+		}
+		return resp, compute, injected, nil
+	}}
 }
 
 // ctxErr prefers the context's error over the I/O error it induced.
 func ctxErr(ctx context.Context, err error) error {
-	if ctx.Err() != nil {
-		return ctx.Err()
+	if cerr := ended(ctx); cerr != nil {
+		return cerr
 	}
 	return err
 }
@@ -383,39 +308,26 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn runs the exchange loop with the per-exchange deadline.
+// serveConn runs the exchange loop with the per-exchange deadline,
+// answering through the serialised agent.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	for {
-		if s.Timeout > 0 {
-			_ = conn.SetDeadline(time.Now().Add(s.Timeout))
-		}
-		ch, tc, err := ReadChallengeTraced(conn)
-		if errors.Is(err, io.EOF) {
-			return
-		}
-		if err != nil {
-			if !s.isClosed() {
-				s.report(fmt.Errorf("attest: serve: %w", err))
-			}
-			return
-		}
-		s.agentMu.Lock()
-		resp, compute, err := respondTraced(s.Agent, ch, tc)
-		s.agentMu.Unlock()
-		if err != nil {
-			s.report(fmt.Errorf("attest: serve respond: %w", err))
-			return
-		}
-		if err := WriteResponse(conn, resp); err != nil {
-			s.report(err)
-			return
-		}
-		if err := writeTime(conn, compute); err != nil {
-			s.report(err)
-			return
-		}
+	if err := serveExchanges(conn, serialAgent{&s.agentMu, s.Agent}, s.Timeout); err != nil && !s.isClosed() {
+		s.report(err)
 	}
+}
+
+// serialAgent runs an agent's Respond under a lock shared by every
+// connection of one Server.
+type serialAgent struct {
+	mu    *sync.Mutex
+	agent ProverAgent
+}
+
+func (a serialAgent) Respond(ch Challenge) (Response, float64, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.agent.Respond(ch)
 }
 
 // DrainError reports a shutdown that hit its drain deadline: the listener

@@ -229,7 +229,7 @@ func TestFaultEventLog(t *testing.T) {
 	link := NewFaultyLink(f.prover, FaultPlan{Drop: 1, MaxFaults: 2}, 4242)
 	link.SetLog(&buf)
 	policy := RetryPolicy{MaxAttempts: 3}
-	res, attempts, err := RunSessionRetry(f.verifier, link, DefaultLink(), policy)
+	res, attempts, err := RunSessionRetry(context.Background(), f.verifier, link, DefaultLink(), policy)
 	if err != nil || !res.Accepted {
 		t.Fatalf("retry did not recover: attempts=%d err=%v", attempts, err)
 	}
@@ -287,12 +287,12 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Request(conn, f.verifier, DefaultLink())
+	res, err := RequestContext(context.Background(), conn, f.verifier, DefaultLink())
 	conn.Close()
 	if err != nil || !res.Accepted {
 		t.Fatalf("TCP session failed: %v / %+v", err, res)
 	}
-	if _, _, err := RunSessionRetry(f.verifier, f.prover, DefaultLink(), RetryPolicy{MaxAttempts: 1}); err != nil {
+	if _, _, err := RunSessionRetry(context.Background(), f.verifier, f.prover, DefaultLink(), RetryPolicy{MaxAttempts: 1}); err != nil {
 		t.Fatal(err)
 	}
 

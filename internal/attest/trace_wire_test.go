@@ -392,7 +392,7 @@ func TestRTTInflationDrivesDeviceSuspect(t *testing.T) {
 	// above the honest RTT, and the inflated device runs 20 ms over that —
 	// still comfortably inside δ (NetworkAllowance alone is 50 ms), so
 	// every inflated session is ACCEPTED and only the timing SLO can trip.
-	res, _, err := T.runSession(clean.verifier, clean.prover, link, 0)
+	res, _, err := T.session(telemetry.TraceContext{}, clean.verifier, link, inMemory(clean.prover), 0)
 	if err != nil || !res.Accepted {
 		t.Fatalf("calibration session: %v / %+v", err, res)
 	}
@@ -403,11 +403,11 @@ func TestRTTInflationDrivesDeviceSuspect(t *testing.T) {
 
 	inflated := &inflatedAgent{inner: hot.prover, extra: 0.030}
 	for i := 0; i < 12; i++ {
-		cres, _, cerr := T.runSession(clean.verifier, clean.prover, link, 0)
+		cres, _, cerr := T.session(telemetry.TraceContext{}, clean.verifier, link, inMemory(clean.prover), 0)
 		if cerr != nil || !cres.Accepted {
 			t.Fatalf("clean session %d: %v / %+v", i, cerr, cres)
 		}
-		hres, _, herr := T.runSession(hot.verifier, inflated, link, 0)
+		hres, _, herr := T.session(telemetry.TraceContext{}, hot.verifier, link, inMemory(inflated), 0)
 		if herr != nil || !hres.Accepted {
 			t.Fatalf("inflated session %d not accepted (%v / %+v) — inflation must stay under δ", i, herr, hres)
 		}

@@ -15,8 +15,9 @@ import (
 // traceParentKey is the context key for the session's trace parent.
 type traceParentKey struct{}
 
-// WithTraceParent returns a context under which attestation sessions open
-// their "attest.session" span inside tc's trace, as a child of tc.Span.
+// WithTraceParent returns a context under which attestation sessions, on
+// either transport, open their session span inside tc's trace, as a child
+// of tc.Span.
 // An invalid tc is carried but ignored at span-open time.
 func WithTraceParent(ctx context.Context, tc telemetry.TraceContext) context.Context {
 	return context.WithValue(ctx, traceParentKey{}, tc)

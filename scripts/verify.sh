@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh — the repository's verification gate.
 #
-# Runs the tier-1 commands (build + full test suite), static vetting, the
-# race-detected attestation robustness tests (which exercise every
+# Runs the tier-1 commands (build + full test suite), static vetting, vet
+# and tests of the nested bench module (so a change to an exported API it
+# calls fails here), the race-detected attestation robustness tests (which exercise every
 # injected fault class: drop, corrupt, truncate, delay, duplicate), the
 # race-detected parallel batch-evaluation packages plus a targeted
 # determinism smoke across the packages that fan work out to goroutines,
@@ -28,6 +29,9 @@ go vet ./...
 
 echo "== go test ./..."
 go test ./...
+
+echo "== bench module: go vet + go test (a nested module root ./... never builds)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "== go test -race ./internal/attest/... (fault-injection suite)"
 go test -race ./internal/attest/...
