@@ -44,7 +44,7 @@ type EpochBudget interface {
 type ExhaustedError struct {
 	Device string // verifier's device name ("" when anonymous)
 	Epoch  uint32 // the exhausted enrollment's epoch
-	Err    error  // crp.ErrExhausted or store.ErrEpochRetired
+	Err    error  // crp.ErrExhausted or crp.ErrEpochRetired
 }
 
 func (e *ExhaustedError) Error() string {

@@ -111,21 +111,17 @@ func (c *Cluster) Snapshot() ClusterSnapshot {
 			continue
 		}
 		g.mu.Lock()
+		lead := g.logs[g.replicas[g.leader]].ledger
 		st := GroupStatus{
 			Device:        g.device,
 			Leader:        g.replicas[g.leader],
 			HighWaterMark: g.hwm,
-			Epoch:         g.logs[g.replicas[g.leader]].epoch,
+			Epoch:         lead.Epoch(),
+			Remaining:     lead.Remaining(),
 			Applied:       make(map[string]uint64, len(g.replicas)),
 		}
 		for _, sid := range g.replicas {
 			st.Applied[sid] = g.logs[sid].applied()
-		}
-		lead := g.logs[g.replicas[g.leader]]
-		for _, s := range g.enr.order {
-			if !lead.used[s] {
-				st.Remaining++
-			}
 		}
 		g.mu.Unlock()
 		snap.Devices = append(snap.Devices, st)

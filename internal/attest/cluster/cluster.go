@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 
 	"pufatt/internal/attest"
-	"pufatt/internal/crp/store"
+	"pufatt/internal/crp"
 )
 
 // ErrShardDown reports an operation against a shard the cluster has
@@ -186,7 +186,7 @@ func (c *Cluster) Revive(id string) error {
 // on the ring and creating one claim log per replica. The returned Group
 // is the device's seed budget and reference source.
 func (c *Cluster) Enroll(enr *Enrollment) (*Group, error) {
-	id := enr.Device()
+	id := enr.ChipID()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.groups[id]; dup {
@@ -196,13 +196,14 @@ func (c *Cluster) Enroll(enr *Enrollment) (*Group, error) {
 	g := &Group{
 		c:        c,
 		device:   id,
-		enr:      enr,
+		bits:     enr.ResponseBits(),
+		enrs:     map[uint32]*Enrollment{enr.Epoch(): enr},
 		replicas: replicas,
 		logs:     make(map[string]*deviceLog, len(replicas)),
 		acked:    make(map[string]uint64, len(replicas)),
 	}
 	for _, sid := range replicas {
-		g.logs[sid] = newDeviceLog(enr.Epoch())
+		g.logs[sid] = newDeviceLog(g.enrs, enr.Epoch())
 	}
 	c.groups[id] = g
 	return g, nil
@@ -373,10 +374,10 @@ type Audit struct {
 func (a Audit) Clean() bool { return len(a.Violations) == 0 }
 
 // AuditClaims merges every device's live replica logs and re-derives the
-// no-duplicate-claim property from the raw frames (independently of the
-// used-sets the claim path maintains). Dead shards are excluded — their
-// logs are unreachable state, exactly as in a real deployment — and
-// listed.
+// no-duplicate-claim and epoch-order properties from the raw frames
+// (independently of the ledgers the claim path maintains). Dead shards are
+// excluded — their logs are unreachable state, exactly as in a real
+// deployment — and listed.
 func (c *Cluster) AuditClaims() Audit {
 	var audit Audit
 	for _, sid := range c.order {
@@ -402,7 +403,7 @@ func (c *Cluster) AuditClaims() Audit {
 		logs := make(map[string][][]byte, len(g.replicas))
 		for _, sid := range g.replicas {
 			if c.shardAlive(sid) {
-				logs[sid] = g.logs[sid].snapshotFrames()
+				logs[sid] = append([][]byte(nil), g.logs[sid].frames...)
 			}
 		}
 		device := g.device
@@ -417,29 +418,40 @@ func (c *Cluster) AuditClaims() Audit {
 		audit.Frames += len(longest)
 		for sid, frames := range logs {
 			for i, f := range frames {
-				if !bytesEqual(f, longest[i]) {
+				if !bytes.Equal(f, longest[i]) {
 					audit.Violations = append(audit.Violations,
 						fmt.Sprintf("device %d: shard %s diverges from longest log at seq %d", device, sid, i+1))
 					break
 				}
 			}
 		}
+		// Claims are single-use per (seed, epoch): the seen-set restarts at
+		// every transition, and every transition must advance the epoch
+		// the previous one moved to.
 		seen := make(map[uint64]int, len(longest))
+		var epoch uint32
+		moved := false // a transition set epoch
 		for i, f := range longest {
-			rec, err := store.DecodeWALFrame(f)
-			if err != nil {
+			rec, err := crp.DecodeFrame(f)
+			switch {
+			case err != nil:
 				audit.Violations = append(audit.Violations,
 					fmt.Sprintf("device %d: invalid frame at seq %d: %v", device, i+1, err))
-				continue
+			case rec.Transition:
+				if rec.To <= rec.From || (moved && rec.From != epoch) {
+					audit.Violations = append(audit.Violations,
+						fmt.Sprintf("device %d: transition %d→%d at seq %d does not advance the log's epoch",
+							device, rec.From, rec.To, i+1))
+				}
+				epoch, moved = rec.To, true
+				clear(seen)
+			default:
+				if at, dup := seen[rec.Seed]; dup {
+					audit.Violations = append(audit.Violations,
+						fmt.Sprintf("device %d: seed %#x claimed at seq %d and again at seq %d", device, rec.Seed, at, i+1))
+				}
+				seen[rec.Seed] = i + 1
 			}
-			if rec.Transition {
-				continue
-			}
-			if prev, dup := seen[rec.Seed]; dup {
-				audit.Violations = append(audit.Violations,
-					fmt.Sprintf("device %d: seed %#x claimed at seq %d and again at seq %d", device, rec.Seed, prev, i+1))
-			}
-			seen[rec.Seed] = i + 1
 		}
 	}
 	if audit.Clean() {
@@ -449,5 +461,3 @@ func (c *Cluster) AuditClaims() Audit {
 	}
 	return audit
 }
-
-func bytesEqual(a, b []byte) bool { return bytes.Equal(a, b) }

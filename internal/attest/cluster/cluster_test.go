@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -24,15 +23,15 @@ import (
 // group/replication semantics don't need real references. Reference j of
 // seed s is the word s<<8 | j.
 func fakeEnrollment(device int, epoch uint32, seeds ...uint64) *Enrollment {
-	e := &Enrollment{device: device, bits: 32, epoch: epoch,
-		refs: make(map[uint64][obfuscate.ResponsesPerOutput]uint64)}
+	var refs []uint8
 	for _, s := range seeds {
-		var refs [obfuscate.ResponsesPerOutput]uint64
-		for j := range refs {
-			refs[j] = s<<8 | uint64(j)
+		for j := 0; j < obfuscate.ResponsesPerOutput; j++ {
+			refs = append(refs, ecc.WordToBits(s<<8|uint64(j), 32)...)
 		}
-		e.refs[s] = refs
-		e.order = append(e.order, s)
+	}
+	e, err := crp.NewEnrollment(device, 32, epoch, seeds, refs)
+	if err != nil {
+		panic(err)
 	}
 	return e
 }
@@ -287,35 +286,6 @@ func TestReferenceResponseRequiresClaim(t *testing.T) {
 	}
 }
 
-// TestReferenceResponseIsCallerOwned: every replica of a device shares one
-// Enrollment, so a caller that writes into a returned reference must not
-// change what any later read — on any shard — returns.
-func TestReferenceResponseIsCallerOwned(t *testing.T) {
-	c := threeShards(t, false)
-	g, err := c.Enroll(fakeEnrollment(6, 1, 88))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.NextUnused(); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := g.ReferenceResponse(88, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]uint8(nil), ref...)
-	for i := range ref {
-		ref[i] ^= 1
-	}
-	again, err := g.ReferenceResponse(88, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, want) {
-		t.Fatalf("reference after a caller's write = %v, want %v", again, want)
-	}
-}
-
 // --- real-device fleet tests -------------------------------------------
 
 var (
@@ -496,5 +466,31 @@ func TestClusterEnrollAndBindValidation(t *testing.T) {
 	}
 	if got := fmt.Sprint(c.Devices()); got != "[1]" {
 		t.Fatalf("Devices() = %s", got)
+	}
+}
+
+// TestAuditEpochOrder: the audit re-derives epoch order from the raw
+// frames, independently of the ledgers that refuse such frames on apply,
+// so a log holding a backwards (3→1) or foreign (9→2) transition is a
+// violation.
+func TestAuditEpochOrder(t *testing.T) {
+	c := threeShards(t, false)
+	g, err := c.Enroll(fakeEnrollment(8, 1, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, frames := range map[string][][]byte{
+		"3→1": {crp.TransitionFrame(1, 3), crp.TransitionFrame(3, 1)},
+		"9→2": {crp.TransitionFrame(1, 3), crp.TransitionFrame(9, 2)},
+	} {
+		g.mu.Lock()
+		for _, l := range g.logs {
+			l.frames = frames
+		}
+		g.mu.Unlock()
+		audit := c.AuditClaims()
+		if len(audit.Violations) != 1 || !strings.Contains(audit.Violations[0], "does not advance") {
+			t.Fatalf("audit of %s: %v, want one epoch-order violation", name, audit.Violations)
+		}
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 
 	"pufatt/internal/crp"
-	"pufatt/internal/crp/store"
-	"pufatt/internal/ecc"
 	"pufatt/internal/telemetry"
 )
 
@@ -44,8 +42,13 @@ type Group struct {
 	// lands in the same trace as routing, queueing, and the session.
 	active atomic.Pointer[telemetry.Span]
 
-	mu       sync.Mutex
-	enr      *Enrollment
+	bits int // response width, fixed by the device's design across epochs
+
+	mu sync.Mutex
+	// enrs holds the enrollments a replica's ledger may still need: the
+	// live epoch's, and any a lagging replica will install when it
+	// catches up across a cutover.
+	enrs     map[uint32]*Enrollment
 	replicas []string
 	leader   int // index into replicas
 	logs     map[string]*deviceLog
@@ -56,9 +59,6 @@ type Group struct {
 	// therefore released to a session. Promotion gates on it.
 	hwm uint64
 }
-
-// Device returns the group's chip ID.
-func (g *Group) Device() int { return g.device }
 
 // Replicas returns the group's replica set, leader first as placed by the
 // ring (the *current* leader may differ after failover; see Leader).
@@ -173,34 +173,45 @@ func (g *Group) NextUnusedWithEpoch() (uint64, uint32, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	log := g.logs[lead]
-	seed, ok := g.nextUnusedLocked(log)
-	if !ok {
-		return 0, log.epoch, fmt.Errorf("cluster: device %d: %w", g.device, crp.ErrExhausted)
+	led := g.logs[lead].ledger
+	seed, err := led.Next()
+	if err != nil {
+		return 0, led.Epoch(), fmt.Errorf("cluster: device %d: %w", g.device, err)
 	}
-	if err := g.replicateLocked(lead, store.ClaimFrame(seed)); err != nil {
-		return 0, 0, err
+	if err := g.claimLocked(lead, seed); err != nil {
+		return 0, led.Epoch(), err
+	}
+	return seed, led.Epoch(), nil
+}
+
+// Claim claims one seed directly through the replicated log, the
+// crp.Database claim surface. Unknown and already-used seeds fail with the
+// crp sentinels before anything is replicated.
+func (g *Group) Claim(seed uint64) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	lead, err := g.leaderLocked()
+	if err != nil {
+		return err
+	}
+	return g.claimLocked(lead, seed)
+}
+
+func (g *Group) claimLocked(lead string, seed uint64) error {
+	if err := g.logs[lead].ledger.Check(crp.Frame{Seed: seed}); err != nil {
+		return fmt.Errorf("cluster: device %d: %w", g.device, err)
+	}
+	if err := g.replicateLocked(lead, crp.ClaimFrame(seed)); err != nil {
+		return err
 	}
 	g.c.met.ReplClaims.Inc()
-	return seed, log.epoch, nil
+	return nil
 }
 
 // NextUnused implements attest.SeedBudget.
 func (g *Group) NextUnused() (uint64, error) {
 	seed, _, err := g.NextUnusedWithEpoch()
 	return seed, err
-}
-
-// nextUnusedLocked scans the enrollment order from the log's cursor for
-// the first seed the log has not burned.
-func (g *Group) nextUnusedLocked(log *deviceLog) (uint64, bool) {
-	for log.cursor < len(g.enr.order) {
-		if s := g.enr.order[log.cursor]; !log.used[s] {
-			return s, true
-		}
-		log.cursor++
-	}
-	return 0, false
 }
 
 // replicateLocked runs one frame through the full log-before-acknowledge
@@ -291,12 +302,14 @@ func (g *Group) observeLagLocked() {
 }
 
 // CommitEpoch replicates an epoch transition frame — the cutover commit
-// point — and swaps in the new epoch's enrollment. From the moment the
-// frame is on every live replica, the old epoch's seeds are unclaimable
-// cluster-wide.
+// point — and each replica installs the new enrollment as the frame
+// applies there (a lagging one when it catches up). From then on the old
+// epoch's seeds are unclaimable cluster-wide, and a seed re-enrolled under
+// the new epoch is a fresh (seed, epoch) pair. An epoch that does not
+// advance the leader's fails with crp.ErrEpochOrder.
 func (g *Group) CommitEpoch(enr *Enrollment) error {
-	if enr.device != g.device {
-		return fmt.Errorf("cluster: enrollment for device %d offered to device %d", enr.device, g.device)
+	if enr.ChipID() != g.device {
+		return fmt.Errorf("cluster: enrollment for device %d offered to device %d", enr.ChipID(), g.device)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -304,79 +317,69 @@ func (g *Group) CommitEpoch(enr *Enrollment) error {
 	if err != nil {
 		return err
 	}
-	from := g.logs[lead].epoch
-	if enr.epoch == from {
-		return fmt.Errorf("cluster: device %d re-enrollment must advance the epoch past %d", g.device, from)
+	from := g.logs[lead].ledger.Epoch()
+	if err := g.logs[lead].ledger.Admits(enr.Epoch()); err != nil {
+		return fmt.Errorf("cluster: device %d: %w", g.device, err)
 	}
-	if err := g.replicateLocked(lead, store.TransitionFrame(from, enr.epoch)); err != nil {
+	g.enrs[enr.Epoch()] = enr
+	if err := g.replicateLocked(lead, crp.TransitionFrame(from, enr.Epoch())); err != nil {
 		return err
 	}
-	g.enr = enr
-	// Claims from the retired enrollment stay in every log's used set;
-	// the fresh enrollment uses fresh seeds, and each log rescans from
-	// the front of the new order.
+	// Keep only the enrollments some replica may still install.
+	oldest := enr.Epoch()
 	for _, l := range g.logs {
-		l.cursor = 0
+		oldest = min(oldest, l.ledger.Epoch())
+	}
+	for e := range g.enrs {
+		if e < oldest {
+			delete(g.enrs, e)
+		}
 	}
 	return nil
+}
+
+// leaderLedgerLocked returns the current leader's ledger, or the placed
+// leader's when no replica may serve.
+func (g *Group) leaderLedgerLocked() (*crp.Ledger, error) {
+	lead, err := g.leaderLocked()
+	if err != nil {
+		return g.logs[g.replicas[g.leader]].ledger, err
+	}
+	return g.logs[lead].ledger, nil
 }
 
 // Epoch implements attest.EpochBudget.
 func (g *Group) Epoch() uint32 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	lead, err := g.leaderLocked()
-	if err != nil {
-		return g.enr.epoch
-	}
-	return g.logs[lead].epoch
+	led, _ := g.leaderLedgerLocked()
+	return led.Epoch()
 }
 
 // Remaining implements attest.SeedBudget: unclaimed seeds under the
-// current leader's view.
+// current leader's view, in O(1).
 func (g *Group) Remaining() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	lead, err := g.leaderLocked()
+	led, err := g.leaderLedgerLocked()
 	if err != nil {
 		return 0
 	}
-	n := 0
-	for _, s := range g.enr.order {
-		if !g.logs[lead].used[s] {
-			n++
-		}
-	}
-	return n
+	return led.Remaining()
 }
 
 // ResponseBits implements core.ReferenceSource.
-func (g *Group) ResponseBits() int { return g.enr.bits }
+func (g *Group) ResponseBits() int { return g.bits }
 
-// ReferenceResponse implements core.ReferenceSource. Like crp.Database, a
-// seed must have been claimed before its references may be read, so a
-// protocol bug cannot silently bypass replay protection.
+// ReferenceResponse implements core.ReferenceSource with a caller-owned
+// copy. Like crp.Database, a seed must have been claimed before its
+// references may be read.
 func (g *Group) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
 	g.mu.Lock()
-	enr := g.enr
-	lead, err := g.leaderLocked()
-	var claimed bool
-	if err == nil {
-		claimed = g.logs[lead].used[seed]
-	}
-	g.mu.Unlock()
+	defer g.mu.Unlock()
+	led, err := g.leaderLedgerLocked()
 	if err != nil {
 		return nil, err
 	}
-	refs, ok := enr.refs[seed]
-	if !ok {
-		return nil, crp.ErrUnknownSeed
-	}
-	if !claimed {
-		return nil, fmt.Errorf("cluster: seed %#x not claimed before use", seed)
-	}
-	if j < 0 || j >= len(refs) {
-		return nil, fmt.Errorf("cluster: reference index %d out of range", j)
-	}
-	return ecc.WordToBits(refs[j], enr.bits), nil
+	return led.Reference(seed, j)
 }

@@ -5,29 +5,31 @@ import (
 	"errors"
 	"fmt"
 
-	"pufatt/internal/crp/store"
+	"pufatt/internal/crp"
 )
 
 // The replicated claim log. Each (shard, device) pair holds one deviceLog:
-// an append-only sequence of the durable store's 16-byte WAL frames
-// (store.ClaimFrame / store.TransitionFrame), applied strictly in
-// sequence-number order. The leader appends locally first — log before
-// acknowledge, the same discipline the store's WAL enforces on disk — then
-// streams the frame to each live follower and records the acknowledged
-// high-water mark before the claim is released to the session.
+// a crp.Ledger plus the sequence of 16-byte claim frames it applied
+// (crp.ClaimFrame / crp.TransitionFrame), in sequence-number order. The
+// leader appends locally first — log before acknowledge, the same
+// discipline the store's WAL enforces on disk — then streams the frame to
+// each live follower and records the acknowledged high-water mark before
+// the claim is released to the session.
 //
 // apply is deliberately paranoid about its three failure axes, because the
 // frames are wire input during replication:
 //
-//   - frame integrity: anything store.DecodeWALFrame rejects (short, bad
-//     magic, CRC mismatch) is refused with its ErrBadWALFrame cause;
+//   - frame integrity: anything crp.DecodeFrame rejects (short, bad magic,
+//     CRC mismatch) is refused with its crp.ErrBadFrame cause;
 //   - ordering: a sequence number past applied+1 is a gap (ErrLogGap —
 //     the follower must catch up, not guess); a sequence number at or
 //     below the applied mark must match the recorded frame byte-for-byte
 //     (idempotent re-delivery) or be refused (ErrFrameMismatch);
-//   - replay: a claim frame for a seed the log already burned is refused
-//     (ErrSeedReplayed) — a follower never lets replication itself
-//     double-spend a seed.
+//   - claim state: the ledger refuses what it refuses everywhere — a seed
+//     already burned in its epoch (crp.ErrSeedUsed), a seed the epoch
+//     never enrolled, or a transition that does not advance the log's
+//     epoch (crp.ErrEpochOrder) — so replication itself can never
+//     double-spend a seed or move an epoch backwards.
 
 // Typed claim-log errors. All are terminal for the frame that caused
 // them; none is a transport fault.
@@ -39,25 +41,21 @@ var (
 	// different bytes than the recorded frame — divergent histories, not
 	// idempotent retransmission.
 	ErrFrameMismatch = errors.New("cluster: claim-log frame mismatch")
-	// ErrSeedReplayed reports a claim frame for a seed this log has
-	// already burned.
-	ErrSeedReplayed = errors.New("cluster: seed already claimed in log (replay rejected)")
 )
 
 // deviceLog is one replica's claim history for one device. All access is
 // serialised by the owning Group's mutex.
 type deviceLog struct {
-	frames [][]byte // frames[i] carries sequence number i+1
-	used   map[uint64]bool
-	epoch  uint32
-	// cursor is the leader-side scan position over the enrollment order;
-	// it only ever advances and is rebuilt implicitly on promotion (a
-	// fresh leader's cursor lags, and the used map skips burned seeds).
-	cursor int
+	ledger *crp.Ledger
+	frames [][]byte // frames[i] carries sequence number i+1; never mutated
+	// enrs is the group's enrollments by epoch (shared by every replica):
+	// applying a transition installs its target epoch's enrollment, so a
+	// follower catching up across a cutover re-derives the same state.
+	enrs map[uint32]*Enrollment
 }
 
-func newDeviceLog(epoch uint32) *deviceLog {
-	return &deviceLog{used: make(map[uint64]bool), epoch: epoch}
+func newDeviceLog(enrs map[uint32]*Enrollment, epoch uint32) *deviceLog {
+	return &deviceLog{ledger: crp.NewLedger(enrs[epoch]), enrs: enrs}
 }
 
 // applied returns the highest sequence number applied to this log.
@@ -65,7 +63,7 @@ func (l *deviceLog) applied() uint64 { return uint64(len(l.frames)) }
 
 // apply validates and applies one frame at the given sequence number.
 func (l *deviceLog) apply(seq uint64, frame []byte) error {
-	rec, err := store.DecodeWALFrame(frame)
+	fr, err := crp.DecodeFrame(frame)
 	if err != nil {
 		return err
 	}
@@ -80,23 +78,12 @@ func (l *deviceLog) apply(seq uint64, frame []byte) error {
 	case seq > l.applied()+1:
 		return fmt.Errorf("%w: got sequence %d with %d applied", ErrLogGap, seq, l.applied())
 	}
-	if rec.Transition {
-		l.epoch = rec.To
-	} else {
-		if l.used[rec.Seed] {
-			return fmt.Errorf("%w: seed %#x at sequence %d", ErrSeedReplayed, rec.Seed, seq)
-		}
-		l.used[rec.Seed] = true
+	if err := l.ledger.Apply(fr); err != nil {
+		return fmt.Errorf("sequence %d: %w", seq, err)
+	}
+	if enr := l.enrs[fr.To]; fr.Transition && enr != nil {
+		_ = l.ledger.Install(enr) // the ledger awaits exactly fr.To
 	}
 	l.frames = append(l.frames, append([]byte(nil), frame...))
 	return nil
-}
-
-// snapshotFrames returns a copy of the applied frames, for audits.
-func (l *deviceLog) snapshotFrames() [][]byte {
-	out := make([][]byte, len(l.frames))
-	for i, f := range l.frames {
-		out[i] = append([]byte(nil), f...)
-	}
-	return out
 }

@@ -26,7 +26,8 @@ import (
 // the probe measures exactly what a production session would experience.
 //
 // Isolation contract: the canary device is NOT enrolled in the cluster.
-// Its seed budget is a private in-memory list — never a replicated Group —
+// Its seed budget is a private claim-only crp.Ledger (the canary's verifier
+// emulates references, so none are measured) — never a replicated Group —
 // so probes cannot burn production seeds, appear in claim-log audits, or
 // contend on any device's binding mutex. The only cluster state a probe
 // touches is the shard's admission gate, deliberately: queue pressure is
@@ -78,42 +79,15 @@ func (pc ProberConfig) withDefaults() ProberConfig {
 	return pc
 }
 
-// canarySeeds is the prober's isolated seed budget: a private in-memory
-// seed list, deliberately NOT a replicated Group.
-type canarySeeds struct {
-	mu    sync.Mutex
-	seeds []uint64
-	next  int
-}
-
-// NextUnused implements attest.SeedBudget.
-func (b *canarySeeds) NextUnused() (uint64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.next >= len(b.seeds) {
-		return 0, fmt.Errorf("cluster: canary seed budget: %w", crp.ErrExhausted)
-	}
-	s := b.seeds[b.next]
-	b.next++
-	return s, nil
-}
-
-// Remaining implements attest.SeedBudget.
-func (b *canarySeeds) Remaining() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.seeds) - b.next
-}
-
 // canary is one shard's probe endpoint.
 type canary struct {
 	shard string
 
-	mu       sync.Mutex // serialises probes (verifier session state)
+	mu       sync.Mutex // serialises probes (verifier session state) and guards budget
 	verifier *attest.Verifier
 	agent    attest.ProverAgent
 	link     attest.Link
-	budget   *canarySeeds
+	budget   *crp.Ledger
 	status   ProbeStatus
 }
 
@@ -173,7 +147,11 @@ func NewProber(c *Cluster, cfg ProberConfig) (*Prober, error) {
 		for k := range seeds {
 			seeds[k] = uint64(chip)<<20 | uint64(k+1)
 		}
-		budget := &canarySeeds{seeds: seeds}
+		enr, err := crp.NewEnrollment(chip, design.ResponseBits(), dev.Epoch(), seeds, nil)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: canary for shard %s: %w", sid, err)
+		}
+		budget := crp.NewLedger(enr)
 		port, err := mcu.NewDevicePort(dev)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: canary for shard %s: %w", sid, err)

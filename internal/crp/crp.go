@@ -8,11 +8,15 @@
 // with the number of supported authentications, and — because re-using a
 // CRP would enable replay — each seed is single-use, bounding the device's
 // lifetime authentication count by the enrollment effort.
+//
+// Claim state has one implementation, the Ledger (ledger.go), which
+// changes only by applying 16-byte claim frames (frame.go). Database is
+// its in-memory holder; the durable store (crp/store) and the replicated
+// claim log (attest/cluster) hold a ledger each in the same way.
 package crp
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"pufatt/internal/core"
@@ -26,97 +30,76 @@ var (
 	ErrExhausted   = errors.New("crp: database exhausted")
 )
 
-type entry struct {
-	refs [][]uint8 // eight reference raw responses
-	used bool
-}
-
-// Database is an enrolled CRP store for one device. It implements
-// core.ReferenceSource, so a core.VerifierPipeline can run off it directly.
+// Database is an in-memory CRP store for one device: a Ledger and the
+// enrollment it holds. It implements core.ReferenceSource, so a
+// core.VerifierPipeline can run off it directly.
 //
 // A Database is safe for concurrent use: Claim is the replay-protection
 // boundary, and a fleet sweep claims seeds from many goroutines at once, so
-// every method that touches claim state serialises on one mutex. Reference
-// responses themselves are immutable after enrollment, so the slices
-// ReferenceResponse returns need no further synchronisation.
+// every method serialises on one mutex.
 type Database struct {
-	bits   int
-	chipID int
-	epoch  uint32 // the device reconfiguration epoch the references were measured at
-
-	mu      sync.Mutex
-	order   []uint64 // enrollment order, for NextUnused
-	entries map[uint64]*entry
-	cursor  int
-	unused  int // seeds not yet claimed; kept in sync by claim paths
+	mu  sync.Mutex
+	led *Ledger
 }
 
 // Enroll measures the device's noiseless reference responses for every
-// challenge seed and records them. Enrollment happens in the trusted
-// facility before deployment, so it uses the device's noiseless (averaged)
-// behaviour.
+// challenge seed (Measure) and records them at the device's current epoch.
 func Enroll(dev *core.Device, seeds []uint64) (*Database, error) {
-	db := &Database{
-		bits:    dev.Design().ResponseBits(),
-		chipID:  dev.ChipID(),
-		epoch:   dev.Epoch(),
-		entries: make(map[uint64]*entry, len(seeds)),
+	enr, err := Measure(dev, seeds, 0)
+	if err != nil {
+		return nil, err
 	}
-	for _, seed := range seeds {
-		if _, dup := db.entries[seed]; dup {
-			return nil, fmt.Errorf("crp: duplicate enrollment seed %#x", seed)
-		}
-		refs := make([][]uint8, obfuscate.ResponsesPerOutput)
-		for j := range refs {
-			ch := dev.Design().ExpandChallenge(seed, j)
-			refs[j] = append([]uint8(nil), dev.NoiselessResponse(ch)...)
-		}
-		db.entries[seed] = &entry{refs: refs}
-		db.order = append(db.order, seed)
-	}
-	db.unused = len(db.order)
-	enrolledSeeds.Add(uint64(len(db.order)))
-	return db, nil
+	CountEnrolled(enr.Len())
+	return &Database{led: NewLedger(enr)}, nil
+}
+
+// enrollment returns the live enrollment. A Database installs every
+// transition's enrollment under the same lock, so it is never nil.
+func (db *Database) enrollment() *Enrollment {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.led.Enrollment()
 }
 
 // ChipID returns the chip this database was enrolled for.
-func (db *Database) ChipID() int { return db.chipID }
+func (db *Database) ChipID() int { return db.enrollment().ChipID() }
 
-// Epoch returns the device reconfiguration epoch the database was enrolled
-// at. Every reference in a Database belongs to one epoch; re-enrollment
-// under a new epoch builds a new Database.
-func (db *Database) Epoch() uint32 { return db.epoch }
+// Epoch returns the device reconfiguration epoch of the live enrollment.
+func (db *Database) Epoch() uint32 { return db.enrollment().Epoch() }
+
+// CommitEpoch cuts the database over to a re-enrollment measured at a
+// later epoch: the transition retires every seed of the old epoch, and the
+// new enrollment starts with nothing claimed. An epoch that does not
+// advance fails with ErrEpochOrder.
+func (db *Database) CommitEpoch(enr *Enrollment) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.led.Apply(Frame{Transition: true, From: db.led.Epoch(), To: enr.Epoch()}); err != nil {
+		return err
+	}
+	CountEnrolled(enr.Len())
+	return db.led.Install(enr)
+}
 
 // NextUnusedWithEpoch claims the next unused seed and reports the epoch it
 // belongs to, atomically — the pair an epoch-negotiating verifier binds
 // into one challenge.
 func (db *Database) NextUnusedWithEpoch() (uint64, uint32, error) {
-	seed, err := db.NextUnused()
-	return seed, db.epoch, err
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	seed, err := db.led.NextUnused()
+	return seed, db.led.Epoch(), CountClaim(err)
 }
 
 // ResponseBits implements core.ReferenceSource.
-func (db *Database) ResponseBits() int { return db.bits }
+func (db *Database) ResponseBits() int { return db.enrollment().ResponseBits() }
 
-// ReferenceResponse implements core.ReferenceSource. The seed must have
-// been claimed (Claim or NextUnused) first; unclaimed seeds are rejected so
-// that a protocol bug cannot silently bypass replay protection.
+// ReferenceResponse implements core.ReferenceSource with a caller-owned
+// copy. The seed must have been claimed (Claim or NextUnused) first.
 func (db *Database) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
 	db.mu.Lock()
-	e, ok := db.entries[seed]
-	used := ok && e.used
-	db.mu.Unlock()
-	if !ok {
-		return nil, ErrUnknownSeed
-	}
-	if !used {
-		return nil, fmt.Errorf("crp: seed %#x not claimed before use", seed)
-	}
-	if j < 0 || j >= len(e.refs) {
-		return nil, fmt.Errorf("crp: reference index %d out of range", j)
-	}
-	referenceLookups.Inc()
-	return e.refs[j], nil
+	defer db.mu.Unlock()
+	return db.led.Reference(seed, j)
 }
 
 // Claim marks a seed as consumed. It fails on unknown or already-used
@@ -124,63 +107,31 @@ func (db *Database) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
 func (db *Database) Claim(seed uint64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.claimLocked(seed)
-}
-
-// claimLocked is Claim under an already-held db.mu.
-func (db *Database) claimLocked(seed uint64) error {
-	e, ok := db.entries[seed]
-	if !ok {
-		claims.With("unknown").Inc()
-		return ErrUnknownSeed
-	}
-	if e.used {
-		claims.With("replay").Inc()
-		return ErrSeedUsed
-	}
-	e.used = true
-	db.unused--
-	claims.With("ok").Inc()
-	return nil
+	return CountClaim(db.led.Apply(Frame{Seed: seed}))
 }
 
 // NextUnused claims and returns the next unused seed in enrollment order.
-// Seeds already consumed by direct Claim calls are skipped silently: a skip
-// is bookkeeping, not a replay attempt, so it must not show up in the claim
-// telemetry's "replay" count.
 func (db *Database) NextUnused() (uint64, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for db.cursor < len(db.order) {
-		seed := db.order[db.cursor]
-		db.cursor++
-		if db.entries[seed].used {
-			continue
-		}
-		if err := db.claimLocked(seed); err == nil {
-			return seed, nil
-		}
-	}
-	claims.With("exhausted").Inc()
-	return 0, ErrExhausted
+	seed, _, err := db.NextUnusedWithEpoch()
+	return seed, err
 }
 
-// Remaining returns how many authentications the database still supports.
-// It is O(1): the unused count is maintained by the claim paths rather than
-// recounted by a full map scan.
+// Remaining returns how many authentications the database still supports,
+// in O(1).
 func (db *Database) Remaining() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.unused
+	return db.led.Remaining()
 }
 
 // Len returns the number of enrolled seeds.
-func (db *Database) Len() int { return len(db.entries) }
+func (db *Database) Len() int { return db.enrollment().Len() }
 
 // StorageBytes returns the approximate storage the database requires: per
 // seed, 8 bytes of seed plus eight reference responses of ResponseBits each.
 // This is the scalability cost the emulation approach avoids.
 func (db *Database) StorageBytes() int {
-	perSeed := 8 + obfuscate.ResponsesPerOutput*((db.bits+7)/8)
-	return perSeed * len(db.entries)
+	enr := db.enrollment()
+	perSeed := 8 + obfuscate.ResponsesPerOutput*((enr.ResponseBits()+7)/8)
+	return perSeed * enr.Len()
 }

@@ -232,7 +232,7 @@ func TestNextUnusedCountsNoSpuriousReplays(t *testing.T) {
 }
 
 // TestRemainingMatchesScan asserts the O(1) unused counter against a full
-// map scan through an interleaved claim sequence.
+// used-set scan through an interleaved claim sequence.
 func TestRemainingMatchesScan(t *testing.T) {
 	dev := testDevice(t)
 	seeds := make([]uint64, 20)
@@ -247,8 +247,8 @@ func TestRemainingMatchesScan(t *testing.T) {
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		n := 0
-		for _, e := range db.entries {
-			if !e.used {
+		for _, used := range db.led.used {
+			if !used {
 				n++
 			}
 		}

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -28,26 +26,6 @@ func stageSeeds(epoch uint32, n int) []uint64 {
 		out[i] = uint64(epoch)*1000 + uint64(i+1)
 	}
 	return out
-}
-
-// claimFrame / transitionFrame build the documented 16-byte WAL frames by
-// hand — doubling as a format regression test: if the encoding drifts,
-// these surgeries stop matching what openWAL accepts.
-func claimFrame(seed uint64) []byte {
-	rec := make([]byte, walRecordSize)
-	binary.LittleEndian.PutUint32(rec[0:4], walMagic)
-	binary.LittleEndian.PutUint64(rec[4:12], seed)
-	binary.LittleEndian.PutUint32(rec[12:16], crc32.ChecksumIEEE(rec[0:12]))
-	return rec
-}
-
-func transitionFrame(from, to uint32) []byte {
-	rec := make([]byte, walRecordSize)
-	binary.LittleEndian.PutUint32(rec[0:4], walEpochMagic)
-	binary.LittleEndian.PutUint32(rec[4:8], from)
-	binary.LittleEndian.PutUint32(rec[8:12], to)
-	binary.LittleEndian.PutUint32(rec[12:16], crc32.ChecksumIEEE(rec[0:12]))
-	return rec
 }
 
 func appendWAL(t *testing.T, dir string, frames ...[]byte) {
@@ -166,7 +144,7 @@ func TestKillAfterTransitionCompletesCutover(t *testing.T) {
 	// Kill point: the transition record made it to the WAL, the rename did
 	// not happen. (Commit does both under one lock; the crash state is
 	// reconstructed on disk.)
-	appendWAL(t, dir, transitionFrame(0, 1))
+	appendWAL(t, dir, crp.TransitionFrame(0, 1))
 
 	re, err := Open(dir, testOptions())
 	if err != nil {
@@ -205,7 +183,7 @@ func TestKillAfterTransitionStagingLostRetires(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
-	appendWAL(t, dir, transitionFrame(0, 1)) // committed cutover, no staging file
+	appendWAL(t, dir, crp.TransitionFrame(0, 1)) // committed cutover, no staging file
 
 	re, err := Open(dir, testOptions())
 	if err != nil {
@@ -219,13 +197,13 @@ func TestKillAfterTransitionStagingLostRetires(t *testing.T) {
 	}
 	// Every claim surface fails with ErrEpochRetired — which is an
 	// exhausted budget to the attestation layer, not corruption.
-	if err := re.Claim(2); !errors.Is(err, ErrEpochRetired) || !errors.Is(err, crp.ErrExhausted) {
+	if err := re.Claim(2); !errors.Is(err, crp.ErrEpochRetired) || !errors.Is(err, crp.ErrExhausted) {
 		t.Fatalf("Claim on retired store: %v", err)
 	}
-	if _, _, err := re.NextUnusedWithEpoch(); !errors.Is(err, ErrEpochRetired) {
+	if _, _, err := re.NextUnusedWithEpoch(); !errors.Is(err, crp.ErrEpochRetired) {
 		t.Fatalf("NextUnusedWithEpoch on retired store: %v", err)
 	}
-	if _, err := re.ReferenceResponse(1, 0); !errors.Is(err, ErrEpochRetired) {
+	if _, err := re.ReferenceResponse(1, 0); !errors.Is(err, crp.ErrEpochRetired) {
 		t.Fatalf("ReferenceResponse on retired store: %v", err)
 	}
 	if err := re.Compact(); err != nil {
@@ -290,8 +268,8 @@ func TestWALClaimsSplitByTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := append(claimFrame(1), claimFrame(2)...)
-	pre = append(pre, transitionFrame(0, 1)...)
+	pre := append(crp.ClaimFrame(1), crp.ClaimFrame(2)...)
+	pre = append(pre, crp.TransitionFrame(0, 1)...)
 	if err := os.WriteFile(filepath.Join(dir, walFile), append(pre, data...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +301,7 @@ func TestStageEpochOrder(t *testing.T) {
 	st := enrollN(t, dir, 3)
 	defer st.Close()
 	dev := testDevice(t) // epoch 0 == store epoch
-	if _, err := st.StageEpoch(dev, stageSeeds(0, 2), 0); !errors.Is(err, ErrEpochOrder) {
+	if _, err := st.StageEpoch(dev, stageSeeds(0, 2), 0); !errors.Is(err, crp.ErrEpochOrder) {
 		t.Fatalf("staging the live epoch: %v, want ErrEpochOrder", err)
 	}
 	dev.SetEpoch(2)
@@ -331,7 +309,7 @@ func TestStageEpochOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.SetEpoch(1)
-	if _, err := st.StageEpoch(dev, stageSeeds(1, 2), 0); !errors.Is(err, ErrEpochOrder) {
+	if _, err := st.StageEpoch(dev, stageSeeds(1, 2), 0); !errors.Is(err, crp.ErrEpochOrder) {
 		t.Fatalf("staging below the live epoch: %v, want ErrEpochOrder", err)
 	}
 
@@ -340,14 +318,14 @@ func TestStageEpochOrder(t *testing.T) {
 	dir2 := t.TempDir()
 	st2 := enrollN(t, dir2, 3)
 	st2.Close()
-	appendWAL(t, dir2, transitionFrame(0, 5))
+	appendWAL(t, dir2, crp.TransitionFrame(0, 5))
 	re, err := Open(dir2, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 	dev.SetEpoch(3)
-	if _, err := re.StageEpoch(dev, stageSeeds(3, 2), 0); !errors.Is(err, ErrEpochOrder) {
+	if _, err := re.StageEpoch(dev, stageSeeds(3, 2), 0); !errors.Is(err, crp.ErrEpochOrder) {
 		t.Fatalf("staging below the awaited epoch: %v, want ErrEpochOrder", err)
 	}
 	dev.SetEpoch(5)
@@ -406,7 +384,7 @@ func TestCommitIsMonotonic(t *testing.T) {
 	if err := staged.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := staged.Commit(); !errors.Is(err, ErrEpochOrder) {
+	if err := staged.Commit(); !errors.Is(err, crp.ErrEpochOrder) {
 		t.Fatalf("double Commit: %v, want ErrEpochOrder", err)
 	}
 }

@@ -245,12 +245,7 @@ func (h *Handle) Claim(seed uint64) error {
 
 // NextUnused durably claims the next unused seed on the device's store.
 func (h *Handle) NextUnused() (uint64, error) {
-	var seed uint64
-	err := h.withStore(func(st *Store) error {
-		var err error
-		seed, err = st.NextUnused()
-		return err
-	})
+	seed, _, err := h.NextUnusedWithEpoch()
 	return seed, err
 }
 
@@ -269,22 +264,20 @@ func (h *Handle) NextUnusedWithEpoch() (uint64, uint32, error) {
 
 // Epoch returns the device's live enrollment epoch.
 func (h *Handle) Epoch() uint32 {
-	var e uint32
-	_ = h.withStore(func(st *Store) error {
-		e = st.Epoch()
-		return nil
-	})
-	return e
+	st, err := h.r.Device(h.id)
+	if err != nil {
+		return 0
+	}
+	return st.Epoch()
 }
 
 // Remaining returns the device's remaining authentication budget.
 func (h *Handle) Remaining() int {
-	n := 0
-	_ = h.withStore(func(st *Store) error {
-		n = st.Remaining()
-		return nil
-	})
-	return n
+	st, err := h.r.Device(h.id)
+	if err != nil {
+		return 0
+	}
+	return st.Remaining()
 }
 
 // Devices lists the chip ids enrolled under the registry root, ascending.

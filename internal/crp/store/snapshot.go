@@ -9,6 +9,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"pufatt/internal/crp"
+	"pufatt/internal/obfuscate"
 )
 
 // The snapshot is the store's durable image of an enrollment: every seed,
@@ -69,11 +72,21 @@ type snapshot struct {
 	flat    []uint8 // len(seeds)*refsPer*bits reference bytes, flat
 }
 
-// ref returns the reference response for seed index i, expansion j: a view
-// into the flat matrix.
-func (s *snapshot) ref(i, j int) []uint8 {
-	row := i*s.refsPer + j
-	return s.flat[row*s.bits : (row+1)*s.bits : (row+1)*s.bits]
+// snapshotOf images an enrollment and its used set (nil: nothing claimed)
+// for writing.
+func snapshotOf(enr *crp.Enrollment, used []bool) *snapshot {
+	if used == nil {
+		used = make([]bool, enr.Len())
+	}
+	return &snapshot{
+		chipID:  enr.ChipID(),
+		bits:    enr.ResponseBits(),
+		refsPer: obfuscate.ResponsesPerOutput,
+		epoch:   enr.Epoch(),
+		seeds:   enr.Seeds(),
+		used:    used,
+		flat:    enr.Refs(),
+	}
 }
 
 // writeTo streams the snapshot in the format above.
@@ -207,10 +220,7 @@ func writeSnapshotFile(path string, s *snapshot, durable bool) error {
 		return fmt.Errorf("crpstore: installing snapshot: %w", err)
 	}
 	if durable {
-		if d, err := os.Open(dir); err == nil {
-			_ = d.Sync() // make the rename itself durable
-			d.Close()
-		}
+		syncDir(dir) // make the rename itself durable
 	}
 	snapshotWrites.Inc()
 	return nil

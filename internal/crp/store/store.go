@@ -7,7 +7,9 @@
 // compaction folds the log back into the snapshot — so single-use replay
 // protection survives restarts and crashes. A sharded Registry
 // (registry.go) scales the scheme across a fleet of devices with lazy
-// snapshot loading and an LRU of hot stores.
+// snapshot loading and an LRU of hot stores. Claim state itself is a
+// crp.Ledger: the store is its durable sink, appending every claim and
+// transition frame to the WAL before the ledger applies it.
 //
 // Since PR 6 the store is epoch-aware: an enrollment belongs to one device
 // reconfiguration epoch (core.Device.SetEpoch), and a store can be
@@ -28,8 +30,9 @@
 // no transition record is discarded (the cutover never committed); a
 // transition record whose target epoch is newer than the live snapshot
 // completes the rename if the staged file survived, and otherwise opens
-// the store RETIRED — all claims fail with ErrEpochRetired (never serving
-// an old-epoch seed) until a re-enrollment installs the awaited epoch.
+// the store RETIRED — all claims fail with crp.ErrEpochRetired (never
+// serving an old-epoch seed) until a re-enrollment installs the awaited
+// epoch.
 package store
 
 import (
@@ -58,20 +61,6 @@ const (
 // registry evicted; re-fetch through Registry.Handle, which reopens).
 var ErrClosed = errors.New("crpstore: store closed")
 
-// ErrEpochRetired reports a claim or reference lookup against a store
-// whose epoch was retired by a committed cutover whose new enrollment was
-// lost (a crash between the transition record and the snapshot rename).
-// No old-epoch seed is ever re-claimable; the store recovers when a
-// re-enrollment installs the awaited epoch. It wraps crp.ErrExhausted:
-// to the attestation layer a retired store is an empty budget awaiting
-// re-enrollment, not a transport fault and not a verdict.
-var ErrEpochRetired = fmt.Errorf("crpstore: epoch retired, awaiting re-enrollment: %w", crp.ErrExhausted)
-
-// ErrEpochOrder reports a re-enrollment whose epoch does not advance the
-// store's: epochs are monotonic, and re-using one would alias two
-// different reference sets under the same (seed, epoch) coordinates.
-var ErrEpochOrder = errors.New("crpstore: re-enrollment epoch must advance the store's epoch")
-
 // Options tunes durability and compaction.
 type Options struct {
 	// NoSync skips the fsync after WAL appends and snapshot writes. The
@@ -96,30 +85,21 @@ func DefaultOptions() Options {
 	return Options{CompactEvery: 4096, MaxOpen: 256}
 }
 
-// Store is the durable CRP database of one device. It implements
-// core.ReferenceSource (reference lookups for the verifier pipeline) and
-// the claim surface of crp.Database (Claim, NextUnused, Remaining), with
-// every acknowledged claim logged before it takes effect. All methods are
-// safe for concurrent use.
+// Store is the durable CRP database of one device: a crp.Ledger whose
+// frames are logged before they apply. It implements core.ReferenceSource
+// (reference lookups for the verifier pipeline) and the claim surface of
+// crp.Database (Claim, NextUnused, Remaining). All methods are safe for
+// concurrent use.
 type Store struct {
 	dir  string
 	opts Options
 
 	mu         sync.Mutex
-	snap       *snapshot      // seeds/refs immutable; used == state at last compaction
-	index      map[uint64]int // seed → enrollment position
-	used       []bool         // live claim state (snapshot ∪ WAL ∪ this process)
-	unused     int
-	cursor     int
+	enr        *crp.Enrollment // the live snapshot's enrollment (the retired one while retired)
+	led        *crp.Ledger
 	wal        *wal
 	walRecords int
-	epoch      uint32
-	// retired marks a store whose epoch-transition record committed but
-	// whose new enrollment was lost; awaiting is the epoch a re-enrollment
-	// must install (or exceed) to recover it.
-	retired  bool
-	awaiting uint32
-	closed   bool
+	closed     bool
 }
 
 // Open loads the device store in dir: snapshot first, then epoch-cutover
@@ -131,120 +111,87 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return openWith(dir, snap, opts)
+	return openWith(dir, snap, nil, opts)
 }
 
-// lastTransition returns the index of the last epoch-transition record
-// (-1 when the WAL holds none).
-func lastTransition(recs []walRecord) int {
-	last := -1
-	for i, r := range recs {
-		if r.transition {
-			last = i
-		}
-	}
-	return last
-}
-
-// openWith wires a decoded snapshot to its WAL, running the epoch-cutover
-// crash recovery described in the package comment.
-func openWith(dir string, snap *snapshot, opts Options) (*Store, error) {
-	w, recs, err := openWAL(filepath.Join(dir, walFile), !opts.NoSync)
+// openWith wires a decoded snapshot (and its enrollment, when the caller
+// already built it) to its WAL, running the epoch-cutover crash recovery
+// described in the package comment. Recovery is frames applied to a fresh
+// ledger: the snapshot's used bitmap as claims, then every WAL frame the
+// snapshot does not already imply.
+func openWith(dir string, snap *snapshot, enr *crp.Enrollment, opts Options) (*Store, error) {
+	w, frames, err := openWAL(filepath.Join(dir, walFile), !opts.NoSync)
 	if err != nil {
 		return nil, err
 	}
+	fail := func(err error) (*Store, error) {
+		w.close()
+		return nil, err
+	}
 	staging := filepath.Join(dir, stagingFile)
-	retired := false
-	var awaiting uint32
-	last := lastTransition(recs)
-	switch {
-	case last >= 0 && recs[last].to > snap.epoch:
+	last := -1
+	for i, fr := range frames {
+		if fr.Transition {
+			last = i
+		}
+	}
+	if last >= 0 && frames[last].To > snap.epoch {
 		// The cutover committed (the transition record is durable) but the
 		// staged snapshot was never renamed into place. If it survived,
-		// finish the rename; if not, the old epoch is still retired — the
-		// store opens with every claim refused until re-enrollment.
+		// finish the rename; if not, the transition's replay below retires
+		// the old epoch and the store opens with every claim refused until
+		// re-enrollment.
 		staged, serr := readSnapshotFile(staging)
-		if serr == nil && staged.epoch == recs[last].to {
+		if serr == nil && staged.epoch == frames[last].To {
 			if err := os.Rename(staging, filepath.Join(dir, snapshotFile)); err != nil {
-				w.close()
-				return nil, fmt.Errorf("crpstore: completing epoch cutover: %w", err)
+				return fail(fmt.Errorf("crpstore: completing epoch cutover: %w", err))
 			}
 			if !opts.NoSync {
 				syncDir(dir)
 			}
-			snap = staged
+			snap, enr = staged, nil
 			epochRecoveries.Inc()
-		} else {
-			retired = true
-			awaiting = recs[last].to
-			epochRetiredOpens.Inc()
 		}
-	default:
-		// No committed transition past the live snapshot. A staged file
-		// here is an uncommitted cutover: discard it, the old epoch stays
+	} else if _, serr := os.Stat(staging); serr == nil {
+		// No committed transition past the live snapshot: a staged file
+		// here is an uncommitted cutover. Discard it; the old epoch stays
 		// live (and its claims stay in force).
-		if _, serr := os.Stat(staging); serr == nil {
-			_ = os.Remove(staging)
-			epochStagingsDiscarded.Inc()
+		_ = os.Remove(staging)
+		epochStagingsDiscarded.Inc()
+	}
+	if enr == nil {
+		if enr, err = crp.NewEnrollment(snap.chipID, snap.bits, snap.epoch, snap.seeds, snap.flat); err != nil {
+			return fail(fmt.Errorf("crpstore: snapshot: %w", err))
 		}
 	}
-
-	st := &Store{
-		dir:      dir,
-		opts:     opts,
-		snap:     snap,
-		index:    make(map[uint64]int, len(snap.seeds)),
-		used:     append([]bool(nil), snap.used...),
-		wal:      w,
-		epoch:    snap.epoch,
-		retired:  retired,
-		awaiting: awaiting,
-	}
-	for i, seed := range snap.seeds {
-		if _, dup := st.index[seed]; dup {
-			w.close()
-			return nil, fmt.Errorf("crpstore: snapshot enrolls seed %#x twice", seed)
+	led := crp.NewLedger(enr)
+	for i, used := range snap.used {
+		if used {
+			_ = led.Apply(crp.Frame{Seed: snap.seeds[i]}) // cannot fail: enrolled seeds are unique
 		}
-		st.index[seed] = i
 	}
-	// Claim replay. Claims logged before the last transition record belong
-	// to a retired epoch: they are skipped wholesale (their seeds may not
-	// even exist in the live snapshot, and that is not corruption). Claims
-	// after it apply iff the live snapshot is the transition's target —
-	// the state a crash between the cutover's rename and its WAL reset
-	// leaves behind.
+	// Frames up to the last transition into the snapshot's epoch belong to
+	// an enrollment the snapshot superseded (a crash between a cutover's
+	// rename and its WAL reset leaves them): their seeds may not even be
+	// enrolled any more, and that is not corruption. A claim the snapshot
+	// already holds is legal too: a crash between compaction's rename and
+	// its WAL truncation leaves the frame in both places.
 	start := 0
-	if last >= 0 {
-		start = last + 1
-	}
-	if !retired {
-		for _, rec := range recs[start:] {
-			if rec.transition {
-				continue
-			}
-			i, ok := st.index[rec.seed]
-			if !ok {
-				w.close()
-				return nil, fmt.Errorf("%w: WAL claims unenrolled seed %#x", ErrWALCorrupt, rec.seed)
-			}
-			// A claim already marked in the snapshot is legal: a crash between
-			// compaction's snapshot rename and its WAL truncation leaves the
-			// record in both places, and replay is idempotent.
-			if !st.used[i] {
-				st.used[i] = true
-			}
+	for i, fr := range frames {
+		if fr.Transition && fr.To == snap.epoch {
+			start = i + 1
 		}
 	}
-	st.walRecords = len(recs)
-	if !retired {
-		for _, u := range st.used {
-			if !u {
-				st.unused++
-			}
+	for i, fr := range frames[start:] {
+		if err := led.Apply(fr); err != nil && !errors.Is(err, crp.ErrSeedUsed) {
+			return fail(fmt.Errorf("%w: frame %d: %w", ErrWALCorrupt, start+i, err))
 		}
+	}
+	if led.Retired() {
+		epochRetiredOpens.Inc()
 	}
 	openStores.Add(1)
-	return st, nil
+	return &Store{dir: dir, opts: opts, enr: enr, led: led, wal: w, walRecords: len(frames)}, nil
 }
 
 // syncDir fsyncs a directory, making a rename inside it durable.
@@ -259,7 +206,7 @@ func syncDir(dir string) {
 // refuses to overwrite an existing enrollment: re-enrolling a device with
 // claims outstanding would resurrect consumed seeds (epoch cutovers go
 // through StageEpoch/Commit instead, which retire the old seeds first).
-func create(dir string, snap *snapshot, opts Options) (*Store, error) {
+func create(dir string, enr *crp.Enrollment, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -267,11 +214,12 @@ func create(dir string, snap *snapshot, opts Options) (*Store, error) {
 	if _, err := os.Stat(path); err == nil {
 		return nil, fmt.Errorf("crpstore: %s already holds an enrollment", dir)
 	}
+	snap := snapshotOf(enr, nil)
 	if err := writeSnapshotFile(path, snap, !opts.NoSync); err != nil {
 		return nil, err
 	}
-	enrolledSeeds.Add(uint64(len(snap.seeds)))
-	return openWith(dir, snap, opts)
+	crp.CountEnrolled(enr.Len())
+	return openWith(dir, snap, enr, opts)
 }
 
 // Create installs an enrollment from externally measured reference data
@@ -280,119 +228,64 @@ func create(dir string, snap *snapshot, opts Options) (*Store, error) {
 // enrollment is installed at epoch 0.
 func Create(dir string, chipID, bits int, seeds []uint64, refs [][]uint8, opts Options) (*Store, error) {
 	refsPer := obfuscate.ResponsesPerOutput
-	if len(seeds) == 0 {
-		return nil, errors.New("crpstore: enrolling zero seeds")
-	}
 	if len(refs) != len(seeds)*refsPer {
 		return nil, fmt.Errorf("crpstore: %d reference rows for %d seeds (need %d per seed)",
 			len(refs), len(seeds), refsPer)
 	}
-	snap := &snapshot{
-		chipID:  chipID,
-		bits:    bits,
-		refsPer: refsPer,
-		seeds:   append([]uint64(nil), seeds...),
-		used:    make([]bool, len(seeds)),
-		flat:    make([]uint8, len(seeds)*refsPer*bits),
-	}
-	seen := make(map[uint64]struct{}, len(seeds))
-	for _, seed := range seeds {
-		if _, dup := seen[seed]; dup {
-			return nil, fmt.Errorf("crpstore: duplicate enrollment seed %#x", seed)
-		}
-		seen[seed] = struct{}{}
-	}
+	flat := make([]uint8, len(refs)*bits)
 	for k, row := range refs {
 		if len(row) != bits {
 			return nil, fmt.Errorf("crpstore: reference row %d is %d bits, want %d", k, len(row), bits)
 		}
-		copy(snap.flat[k*bits:(k+1)*bits], row)
+		copy(flat[k*bits:(k+1)*bits], row)
 	}
-	return create(dir, snap, opts)
-}
-
-// measureSnapshot measures the device's noiseless reference responses for
-// every seed — fanning the len(seeds)×8 expanded challenges across the
-// parallel batch evaluator (workers ≤ 0 means GOMAXPROCS) — into a fresh
-// snapshot stamped with the device's current epoch.
-func measureSnapshot(dev *core.Device, seeds []uint64, workers int) (*snapshot, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("crpstore: enrolling zero seeds")
-	}
-	design := dev.Design()
-	bits := design.ResponseBits()
-	refsPer := obfuscate.ResponsesPerOutput
-	seen := make(map[uint64]struct{}, len(seeds))
-	for _, seed := range seeds {
-		if _, dup := seen[seed]; dup {
-			return nil, fmt.Errorf("crpstore: duplicate enrollment seed %#x", seed)
-		}
-		seen[seed] = struct{}{}
-	}
-
-	rows := len(seeds) * refsPer
-	challenges := core.ChallengeMatrix(design, rows)
-	for i, seed := range seeds {
-		for j := 0; j < refsPer; j++ {
-			design.ExpandChallengeInto(challenges[i*refsPer+j], seed, j)
-		}
-	}
-	snap := &snapshot{
-		chipID:  dev.ChipID(),
-		bits:    bits,
-		refsPer: refsPer,
-		epoch:   dev.Epoch(),
-		seeds:   append([]uint64(nil), seeds...),
-		used:    make([]bool, len(seeds)),
-		flat:    make([]uint8, rows*bits),
-	}
-	dst := make([][]uint8, rows)
-	for k := range dst {
-		dst[k] = snap.flat[k*bits : (k+1)*bits : (k+1)*bits]
-	}
-	core.NewBatchEvaluator(dev).NoiselessResponses(challenges, dst, workers)
-	return snap, nil
-}
-
-// Enroll measures the device's noiseless reference responses for every
-// seed and installs them as a durable enrollment in dir, stamped with the
-// device's current epoch. The batch responses land directly in the
-// snapshot's flat matrix: enrollment of a large seed set is one
-// allocation and one parallel sweep.
-func Enroll(dir string, dev *core.Device, seeds []uint64, workers int, opts Options) (*Store, error) {
-	snap, err := measureSnapshot(dev, seeds, workers)
+	enr, err := crp.NewEnrollment(chipID, bits, 0, append([]uint64(nil), seeds...), flat)
 	if err != nil {
 		return nil, err
 	}
-	return create(dir, snap, opts)
+	return create(dir, enr, opts)
+}
+
+// Enroll measures the device's noiseless reference responses for every
+// seed (crp.Measure, parallel across workers; ≤0 = GOMAXPROCS) and
+// installs them as a durable enrollment in dir, stamped with the device's
+// current epoch.
+func Enroll(dir string, dev *core.Device, seeds []uint64, workers int, opts Options) (*Store, error) {
+	enr, err := crp.Measure(dev, seeds, workers)
+	if err != nil {
+		return nil, err
+	}
+	return create(dir, enr, opts)
 }
 
 // Dir returns the store's directory.
 func (st *Store) Dir() string { return st.dir }
 
-// ChipID returns the chip this store was enrolled for.
-func (st *Store) ChipID() int { return st.snap.chipID }
-
-// ResponseBits implements core.ReferenceSource.
-func (st *Store) ResponseBits() int { return st.snap.bits }
-
-// Len returns the number of enrolled seeds.
-func (st *Store) Len() int { return len(st.snap.seeds) }
-
-// Epoch returns the device reconfiguration epoch of the live enrollment.
-func (st *Store) Epoch() uint32 {
+// enrollment returns the live snapshot's enrollment.
+func (st *Store) enrollment() *crp.Enrollment {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.epoch
+	return st.enr
 }
 
+// ChipID returns the chip this store was enrolled for.
+func (st *Store) ChipID() int { return st.enrollment().ChipID() }
+
+// ResponseBits implements core.ReferenceSource.
+func (st *Store) ResponseBits() int { return st.enrollment().ResponseBits() }
+
+// Len returns the number of enrolled seeds.
+func (st *Store) Len() int { return st.enrollment().Len() }
+
+// Epoch returns the device reconfiguration epoch of the live enrollment.
+func (st *Store) Epoch() uint32 { return st.enrollment().Epoch() }
+
 // Retired reports whether the store's epoch was retired with no live
-// successor (see ErrEpochRetired); AwaitingEpoch returns the epoch a
-// re-enrollment must reach to recover it (0 when not retired).
+// successor (see crp.ErrEpochRetired).
 func (st *Store) Retired() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.retired
+	return st.led.Retired()
 }
 
 // AwaitingEpoch returns the committed cutover target a retired store is
@@ -400,38 +293,36 @@ func (st *Store) Retired() bool {
 func (st *Store) AwaitingEpoch() uint32 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.awaiting
+	if st.led.Retired() {
+		return st.led.Epoch()
+	}
+	return 0
 }
 
-// ReferenceResponse implements core.ReferenceSource. As with crp.Database,
-// the seed must have been claimed first, so a protocol bug cannot silently
-// bypass replay protection.
+// ReferenceResponse implements core.ReferenceSource with a caller-owned
+// copy. As with crp.Database, the seed must have been claimed first.
 func (st *Store) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.closed {
-		st.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if st.retired {
-		st.mu.Unlock()
-		return nil, ErrEpochRetired
+	return st.led.Reference(seed, j)
+}
+
+// applyLocked is validate, log, apply: the frame is checked against the
+// ledger, appended to the WAL, and only then applied. If the append fails
+// (or the process dies inside it) nothing was acknowledged, and a replayed
+// torn tail drops the frame.
+func (st *Store) applyLocked(fr crp.Frame) error {
+	if err := st.led.Check(fr); err != nil {
+		return err
 	}
-	snap := st.snap
-	i, ok := st.index[seed]
-	used := ok && st.used[i]
-	st.mu.Unlock()
-	if !ok {
-		return nil, crp.ErrUnknownSeed
+	if err := st.wal.append(fr); err != nil {
+		return err
 	}
-	if !used {
-		return nil, fmt.Errorf("crpstore: seed %#x not claimed before use", seed)
-	}
-	if j < 0 || j >= snap.refsPer {
-		return nil, fmt.Errorf("crpstore: reference index %d out of range", j)
-	}
-	referenceLookups.Inc()
-	// Reference rows are immutable after enrollment: the view needs no lock.
-	return snap.ref(i, j), nil
+	st.walRecords++
+	return st.led.Apply(fr)
 }
 
 // Claim durably marks a seed as consumed: the claim record is on disk (in
@@ -448,30 +339,9 @@ func (st *Store) claimLocked(seed uint64) error {
 	if st.closed {
 		return ErrClosed
 	}
-	if st.retired {
-		claims.With("retired").Inc()
-		return ErrEpochRetired
-	}
-	i, ok := st.index[seed]
-	if !ok {
-		claims.With("unknown").Inc()
-		return crp.ErrUnknownSeed
-	}
-	if st.used[i] {
-		claims.With("replay").Inc()
-		return crp.ErrSeedUsed
-	}
-	// Log before acknowledging: if the append fails (or the process dies
-	// inside it) the caller never saw the claim succeed, and a replayed
-	// torn tail drops it — the failure mode errs toward a seed being
-	// claimed on disk but unacknowledged, never the reverse.
-	if err := st.wal.append(seed); err != nil {
+	if err := crp.CountClaim(st.applyLocked(crp.Frame{Seed: seed})); err != nil {
 		return err
 	}
-	st.used[i] = true
-	st.unused--
-	st.walRecords++
-	claims.With("ok").Inc()
 	if st.opts.CompactEvery > 0 && st.walRecords >= st.opts.CompactEvery {
 		// The claim itself is already durable and acknowledged; a failed
 		// fold only defers compaction to the next trigger.
@@ -481,8 +351,7 @@ func (st *Store) claimLocked(seed uint64) error {
 }
 
 // NextUnused durably claims and returns the next unused seed in enrollment
-// order. Seeds consumed by direct Claim calls are skipped without counting
-// replay telemetry.
+// order.
 func (st *Store) NextUnused() (uint64, error) {
 	seed, _, err := st.NextUnusedWithEpoch()
 	return seed, err
@@ -498,35 +367,22 @@ func (st *Store) NextUnusedWithEpoch() (uint64, uint32, error) {
 	if st.closed {
 		return 0, 0, ErrClosed
 	}
-	if st.retired {
-		claims.With("retired").Inc()
-		return 0, st.epoch, ErrEpochRetired
+	seed, err := st.led.Next()
+	if err != nil {
+		return 0, st.enr.Epoch(), crp.CountClaim(err)
 	}
-	for st.cursor < len(st.snap.seeds) {
-		seed := st.snap.seeds[st.cursor]
-		if st.used[st.index[seed]] {
-			st.cursor++
-			continue
-		}
-		if err := st.claimLocked(seed); err != nil {
-			return 0, st.epoch, err
-		}
-		st.cursor++
-		return seed, st.epoch, nil
+	if err := st.claimLocked(seed); err != nil {
+		return 0, st.enr.Epoch(), err
 	}
-	claims.With("exhausted").Inc()
-	return 0, st.epoch, crp.ErrExhausted
+	return seed, st.enr.Epoch(), nil
 }
 
 // Remaining returns how many authentications the store still supports
-// (O(1): maintained by the claim paths; 0 for a retired store).
+// (O(1); 0 for a retired store).
 func (st *Store) Remaining() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.retired {
-		return 0
-	}
-	return st.unused
+	return st.led.Remaining()
 }
 
 // WALRecords returns the number of records currently in the WAL — the
@@ -547,7 +403,7 @@ func (st *Store) Compact() error {
 	if st.closed {
 		return ErrClosed
 	}
-	if st.retired {
+	if st.led.Retired() {
 		// Nothing to fold: a retired store's claim state is terminal and
 		// fully described by the WAL's transition record, which must
 		// survive until re-enrollment.
@@ -557,16 +413,7 @@ func (st *Store) Compact() error {
 }
 
 func (st *Store) compactLocked() error {
-	snap := &snapshot{
-		chipID:  st.snap.chipID,
-		bits:    st.snap.bits,
-		refsPer: st.snap.refsPer,
-		epoch:   st.epoch,
-		seeds:   st.snap.seeds,
-		used:    append([]bool(nil), st.used...),
-		flat:    st.snap.flat,
-	}
-	if err := writeSnapshotFile(filepath.Join(st.dir, snapshotFile), snap, !st.opts.NoSync); err != nil {
+	if err := writeSnapshotFile(filepath.Join(st.dir, snapshotFile), snapshotOf(st.enr, st.led.Used()), !st.opts.NoSync); err != nil {
 		return err
 	}
 	// Only after the snapshot rename is durable may the WAL be emptied;
@@ -574,7 +421,6 @@ func (st *Store) compactLocked() error {
 	if err := st.wal.reset(); err != nil {
 		return err
 	}
-	st.snap = snap
 	st.walRecords = 0
 	compactions.Inc()
 	return nil
@@ -586,56 +432,48 @@ func (st *Store) compactLocked() error {
 // transition record is on disk, the old epoch keeps serving claims and a
 // crash changes nothing.
 type StagedEpoch struct {
-	st   *Store
-	snap *snapshot
+	st  *Store
+	enr *crp.Enrollment
 }
 
 // Epoch returns the staged enrollment's epoch.
-func (se *StagedEpoch) Epoch() uint32 { return se.snap.epoch }
+func (se *StagedEpoch) Epoch() uint32 { return se.enr.Epoch() }
 
 // Len returns the number of staged seeds.
-func (se *StagedEpoch) Len() int { return len(se.snap.seeds) }
+func (se *StagedEpoch) Len() int { return se.enr.Len() }
 
 // StageEpoch measures a re-enrollment for the device's CURRENT epoch —
 // the caller reconfigures the device (core.Device.SetEpoch) first — and
 // writes it durably to the staging file without touching the live
 // enrollment. The staged epoch must advance the store's (and reach the
-// awaited epoch when the store is retired). Claims against the old epoch
-// proceed concurrently; the budget keeps draining while the new epoch is
-// prepared.
+// awaited epoch when the store is retired), or it fails with
+// crp.ErrEpochOrder. Claims against the old epoch proceed concurrently;
+// the budget keeps draining while the new epoch is prepared.
 func (st *Store) StageEpoch(dev *core.Device, seeds []uint64, workers int) (*StagedEpoch, error) {
-	epoch := dev.Epoch()
 	st.mu.Lock()
+	err := st.led.Admits(dev.Epoch())
 	if st.closed {
-		st.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if epoch <= st.epoch || (st.retired && epoch < st.awaiting) {
-		cur, retired, awaiting := st.epoch, st.retired, st.awaiting
-		st.mu.Unlock()
-		if retired {
-			return nil, fmt.Errorf("%w: staged %d, store retired at %d awaiting %d",
-				ErrEpochOrder, epoch, cur, awaiting)
-		}
-		return nil, fmt.Errorf("%w: staged %d, store at %d", ErrEpochOrder, epoch, cur)
+		err = ErrClosed
 	}
 	st.mu.Unlock()
-
-	snap, err := measureSnapshot(dev, seeds, workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := writeSnapshotFile(filepath.Join(st.dir, stagingFile), snap, !st.opts.NoSync); err != nil {
+	enr, err := crp.Measure(dev, seeds, workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeSnapshotFile(filepath.Join(st.dir, stagingFile), snapshotOf(enr, nil), !st.opts.NoSync); err != nil {
 		return nil, err
 	}
 	epochStagings.Inc()
-	return &StagedEpoch{st: st, snap: snap}, nil
+	return &StagedEpoch{st: st, enr: enr}, nil
 }
 
 // Commit performs the epoch cutover: transition record (the durable
 // commit point — from here the old epoch is retired), snapshot rename,
-// WAL reset, in-memory swap. Claims are serialised against the cutover by
-// the store lock, so every claim lands entirely in one epoch.
+// WAL reset, enrollment install. Claims are serialised against the
+// cutover by the store lock, so every claim lands entirely in one epoch.
 func (se *StagedEpoch) Commit() error {
 	st := se.st
 	st.mu.Lock()
@@ -643,17 +481,25 @@ func (se *StagedEpoch) Commit() error {
 	if st.closed {
 		return ErrClosed
 	}
-	if se.snap.epoch <= st.epoch || (st.retired && se.snap.epoch < st.awaiting) {
-		return fmt.Errorf("%w: committing %d, store at %d", ErrEpochOrder, se.snap.epoch, st.epoch)
-	}
-	// Log before acknowledge: the transition record makes the retirement
-	// of the old epoch durable before anything else changes. A crash
-	// after this append and before the rename opens the store retired —
-	// old seeds unclaimable — and recovers from the staging file.
-	if err := st.wal.appendTransition(st.epoch, se.snap.epoch); err != nil {
+	epoch := se.enr.Epoch()
+	if err := st.led.Admits(epoch); err != nil {
 		return err
 	}
-	if err := os.Rename(filepath.Join(st.dir, stagingFile), filepath.Join(st.dir, snapshotFile)); err != nil {
+	staging := filepath.Join(st.dir, stagingFile)
+	if _, err := os.Stat(staging); err != nil {
+		return fmt.Errorf("crpstore: staged epoch %d: %w", epoch, err)
+	}
+	// A retired store already holds the durable transition to the epoch
+	// it awaits; otherwise the transition is logged before anything else
+	// changes. A crash after this append and before the rename opens the
+	// store retired — old seeds unclaimable — and recovers from the
+	// staging file.
+	if !st.led.Retired() || epoch != st.led.Epoch() {
+		if err := st.applyLocked(crp.Frame{Transition: true, From: st.led.Epoch(), To: epoch}); err != nil {
+			return err
+		}
+	}
+	if err := os.Rename(staging, filepath.Join(st.dir, snapshotFile)); err != nil {
 		return fmt.Errorf("crpstore: installing epoch snapshot: %w", err)
 	}
 	if !st.opts.NoSync {
@@ -662,21 +508,11 @@ func (se *StagedEpoch) Commit() error {
 	if err := st.wal.reset(); err != nil {
 		return err
 	}
-	st.snap = se.snap
-	st.index = make(map[uint64]int, len(se.snap.seeds))
-	for i, seed := range se.snap.seeds {
-		st.index[seed] = i
-	}
-	st.used = make([]bool, len(se.snap.seeds))
-	st.unused = len(se.snap.seeds)
-	st.cursor = 0
 	st.walRecords = 0
-	st.epoch = se.snap.epoch
-	st.retired = false
-	st.awaiting = 0
-	enrolledSeeds.Add(uint64(len(se.snap.seeds)))
+	st.enr = se.enr
+	crp.CountEnrolled(se.enr.Len())
 	epochTransitions.Inc()
-	return nil
+	return st.led.Install(se.enr)
 }
 
 // Discard abandons a staged re-enrollment, removing its staging file. The

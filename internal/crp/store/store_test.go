@@ -93,7 +93,7 @@ func TestEnrollDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st8.Close()
-	if !bytes.Equal(st1.snap.flat, st8.snap.flat) {
+	if !bytes.Equal(st1.enr.Refs(), st8.enr.Refs()) {
 		t.Fatal("enrollment depends on worker count")
 	}
 }
@@ -311,7 +311,7 @@ func TestInteriorWALCorruptionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[walRecordSize+4] ^= 0xff // corrupt the middle record's seed
+	data[crp.FrameSize+4] ^= 0xff // corrupt the middle record's seed
 	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestWALRejectsUnenrolledSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(999); err != nil {
+	if err := w.append(crp.Frame{Seed: 999}); err != nil {
 		t.Fatal(err)
 	}
 	w.close()

@@ -2,20 +2,13 @@ package store
 
 import "pufatt/internal/telemetry"
 
-// Store instruments. Claim outcomes feed the same crp_claims_total family
-// the in-memory database uses (the telemetry registry deduplicates by
-// name), so operators watch one replay/exhaustion signal regardless of
-// which backend serves a device; the crpstore_* set covers the durability
-// machinery itself — WAL traffic, snapshot I/O, compactions, and how hard
-// the registry shards are being fought over.
+// Store instruments. Claim outcomes, enrollments and reference lookups
+// feed the crp_* families through the crp package, so operators watch one
+// replay/exhaustion signal regardless of which backend serves a device;
+// the crpstore_* set covers the durability machinery itself — WAL
+// traffic, snapshot I/O, compactions, and how hard the registry shards
+// are being fought over.
 var (
-	claims = telemetry.Default().CounterVec("crp_claims_total",
-		"Seed claims against CRP databases, by result.", "result")
-	enrolledSeeds = telemetry.Default().Counter("crp_enrolled_seeds_total",
-		"Challenge seeds enrolled into CRP databases.")
-	referenceLookups = telemetry.Default().Counter("crp_reference_lookups_total",
-		"Reference-response lookups served from CRP databases.")
-
 	snapshotLoads = telemetry.Default().Counter("crpstore_snapshot_loads_total",
 		"Enrollment snapshots loaded from disk.")
 	snapshotWrites = telemetry.Default().Counter("crpstore_snapshot_writes_total",

@@ -1,40 +1,21 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"pufatt/internal/crp"
 )
 
 // The claim WAL is the store's crash-safety mechanism for the mutable half
 // of its state. The snapshot holds the enrolled references (large, mostly
-// immutable); the WAL holds the claims made since the last compaction
-// (small, hot). A claim is acknowledged only after its record is on disk,
-// so replay protection survives any crash: on open, the WAL is replayed on
-// top of the snapshot's used-bitmap.
-//
-// Each record is a fixed 16-byte frame. Two record kinds share the frame,
-// distinguished by magic:
-//
-//	claim ("CRPW"):
-//	  offset 0  magic uint32 LE (walMagic)
-//	  offset 4  seed  uint64 LE
-//	  offset 12 crc32 uint32 LE (IEEE, over bytes 0..11)
-//
-//	epoch transition ("CRPE"):
-//	  offset 0  magic uint32 LE (walEpochMagic)
-//	  offset 4  from  uint32 LE (retired epoch)
-//	  offset 8  to    uint32 LE (new epoch)
-//	  offset 12 crc32 uint32 LE (IEEE, over bytes 0..11)
-//
-// The transition record is the commit point of an epoch cutover: once it is
-// durable, the old epoch is retired — its seeds can never be claimed again,
-// whatever else the crash interrupted (store.go's open-time recovery
-// enforces this). Log-before-acknowledge applies to transitions exactly as
-// it does to claims.
+// immutable); the WAL holds the claim frames (crp.Frame, 16 bytes each)
+// applied since the last compaction (small, hot). A frame is appended
+// before the ledger applies it and before the claim or cutover it records
+// is acknowledged, so replay protection survives any crash: on open, the
+// WAL's frames replay through the ledger on top of the snapshot.
 //
 // Fixed-size CRC-framed records make the torn-write story simple: a crash
 // mid-append leaves a short or CRC-failing frame at the tail, which open
@@ -42,23 +23,9 @@ import (
 // acknowledged, so dropping it is correct. An invalid frame *followed by
 // more data* cannot be a torn append and is reported as corruption.
 
-const (
-	walMagic      = 0x57505243 // "CRPW"
-	walEpochMagic = 0x45505243 // "CRPE"
-	walRecordSize = 16
-)
-
 // ErrWALCorrupt reports an invalid record in the interior of the WAL —
 // damage no torn final append can explain.
 var ErrWALCorrupt = errors.New("crpstore: claim WAL corrupted")
-
-// walRecord is one decoded WAL record: a claim (transition == false, seed
-// set) or an epoch transition (transition == true, from/to set).
-type walRecord struct {
-	transition bool
-	seed       uint64
-	from, to   uint32
-}
 
 // wal is an append-only claim log over one file.
 type wal struct {
@@ -67,9 +34,9 @@ type wal struct {
 }
 
 // openWAL opens (creating if absent) the claim log, validates it, and
-// returns every durable record in append order. A torn tail is truncated
+// returns every durable frame in append order. A torn tail is truncated
 // away; interior corruption is an error.
-func openWAL(path string, sync bool) (*wal, []walRecord, error) {
+func openWAL(path string, sync bool) (*wal, []crp.Frame, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("crpstore: opening claim WAL: %w", err)
@@ -79,27 +46,16 @@ func openWAL(path string, sync bool) (*wal, []walRecord, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("crpstore: reading claim WAL: %w", err)
 	}
-	var recs []walRecord
+	var frames []crp.Frame
 	valid := 0
-	for valid+walRecordSize <= len(data) {
-		rec := data[valid : valid+walRecordSize]
-		magic := binary.LittleEndian.Uint32(rec[0:4])
-		if (magic != walMagic && magic != walEpochMagic) ||
-			binary.LittleEndian.Uint32(rec[12:16]) != crc32.ChecksumIEEE(rec[0:12]) {
+	for ; valid+crp.FrameSize <= len(data); valid += crp.FrameSize {
+		fr, err := crp.DecodeFrame(data[valid : valid+crp.FrameSize])
+		if err != nil {
 			break
 		}
-		if magic == walEpochMagic {
-			recs = append(recs, walRecord{
-				transition: true,
-				from:       binary.LittleEndian.Uint32(rec[4:8]),
-				to:         binary.LittleEndian.Uint32(rec[8:12]),
-			})
-		} else {
-			recs = append(recs, walRecord{seed: binary.LittleEndian.Uint64(rec[4:12])})
-		}
-		valid += walRecordSize
+		frames = append(frames, fr)
 	}
-	if tail := len(data) - valid; tail > walRecordSize {
+	if tail := len(data) - valid; tail > crp.FrameSize {
 		// More than one frame's worth of unparseable bytes: not a torn
 		// append but real damage. Refuse to guess.
 		f.Close()
@@ -116,17 +72,16 @@ func openWAL(path string, sync bool) (*wal, []walRecord, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	walReplayedRecords.Add(uint64(len(recs)))
-	return &wal{f: f, sync: sync}, recs, nil
+	walReplayedRecords.Add(uint64(len(frames)))
+	return &wal{f: f, sync: sync}, frames, nil
 }
 
-// appendRecord writes one 16-byte frame. The record is on disk (and, in
-// sync mode, fsynced) before appendRecord returns; only then may the
-// operation it logs be acknowledged.
-func (w *wal) appendRecord(rec [walRecordSize]byte, what string) error {
-	binary.LittleEndian.PutUint32(rec[12:16], crc32.ChecksumIEEE(rec[0:12]))
-	if _, err := w.f.Write(rec[:]); err != nil {
-		return fmt.Errorf("crpstore: appending %s: %w", what, err)
+// append writes one frame. The frame is on disk (and, in sync mode,
+// fsynced) before append returns; only then may it be applied and the
+// operation it logs acknowledged.
+func (w *wal) append(fr crp.Frame) error {
+	if _, err := w.f.Write(fr.Encode()); err != nil {
+		return fmt.Errorf("crpstore: appending claim frame: %w", err)
 	}
 	if w.sync {
 		if err := w.f.Sync(); err != nil {
@@ -135,25 +90,6 @@ func (w *wal) appendRecord(rec [walRecordSize]byte, what string) error {
 	}
 	walAppends.Inc()
 	return nil
-}
-
-// append logs one claim.
-func (w *wal) append(seed uint64) error {
-	var rec [walRecordSize]byte
-	binary.LittleEndian.PutUint32(rec[0:4], walMagic)
-	binary.LittleEndian.PutUint64(rec[4:12], seed)
-	return w.appendRecord(rec, "claim")
-}
-
-// appendTransition logs one epoch transition — the durable commit point of
-// a cutover. From the moment this record is on disk, epoch `from` is
-// retired and none of its seeds may ever be claimed again.
-func (w *wal) appendTransition(from, to uint32) error {
-	var rec [walRecordSize]byte
-	binary.LittleEndian.PutUint32(rec[0:4], walEpochMagic)
-	binary.LittleEndian.PutUint32(rec[4:8], from)
-	binary.LittleEndian.PutUint32(rec[8:12], to)
-	return w.appendRecord(rec, "epoch transition")
 }
 
 // reset empties the log after its claims have been folded into a snapshot.

@@ -1,6 +1,10 @@
 package crp
 
-import "pufatt/internal/telemetry"
+import (
+	"errors"
+
+	"pufatt/internal/telemetry"
+)
 
 // CRP-database throughput instruments. The claim counter's result label is
 // the interesting one operationally: a rising "replay" count is either a
@@ -14,3 +18,29 @@ var (
 	referenceLookups = telemetry.Default().Counter("crp_reference_lookups_total",
 		"Reference-response lookups served from CRP databases.")
 )
+
+// CountEnrolled records n freshly enrolled seeds.
+func CountEnrolled(n int) { enrolledSeeds.Add(uint64(n)) }
+
+// CountClaim records the outcome of an acknowledged-claim attempt in
+// crp_claims_total and returns err. Frames applied by replay or
+// replication are not claim attempts and are never counted.
+func CountClaim(err error) error {
+	result := ""
+	switch {
+	case err == nil:
+		result = "ok"
+	case errors.Is(err, ErrEpochRetired):
+		result = "retired"
+	case errors.Is(err, ErrExhausted):
+		result = "exhausted"
+	case errors.Is(err, ErrSeedUsed):
+		result = "replay"
+	case errors.Is(err, ErrUnknownSeed):
+		result = "unknown"
+	default:
+		return err
+	}
+	claims.With(result).Inc()
+	return err
+}

@@ -54,14 +54,14 @@ go test -race -run 'Sliced|Bitslice|LinearModel|LinearEngine|EvalEngine' ./inter
 echo "== go test -race -run TestBitsliceDeterministicAcrossWorkers (bitslice worker-count determinism smoke)"
 go test -race -run TestBitsliceDeterministicAcrossWorkers ./internal/core
 
-echo "== go test -race epoch lifecycle suite (cutover kill-and-recover, concurrent re-enrollment vs live claims)"
-go test -race -run 'Epoch|Reenroll|Exhaust|Kill|WALClaimsSplit' ./internal/crp/store ./internal/attest ./internal/core
+echo "== go test -race epoch lifecycle suite (cutover kill-and-recover, concurrent re-enrollment vs live claims, claim-ledger conformance across sinks)"
+go test -race -run 'Epoch|Reenroll|Exhaust|Kill|WALClaimsSplit|Conformance|CallerOwned|EpochOrder' ./internal/crp ./internal/crp/store ./internal/attest ./internal/attest/cluster ./internal/core
 
 echo "== go test -race observability v3 suite (history/alert/federation, admin under load, flight-dump uniqueness)"
 go test -race -run 'TimeSeries|Alert|Federat|Observability|DebugVars|ConcurrentFlightDump|HealthSnapshotConsistency|AdminRoute' ./internal/telemetry ./internal/attest ./cmd/pufatt-top
 
 echo "== go test -race cluster suite (leader-kill failover, replication-lag fail-closed, admission backpressure, load smoke)"
-go test -race -run 'Ring|Group|Promotion|AutoFailover|DeviceLog|Admission|Cluster|Attest|RunLoad|ReferenceResponse' ./internal/attest/cluster
+go test -race -run 'Ring|Group|Promotion|AutoFailover|DeviceLog|Admission|Cluster|Attest|RunLoad|ReferenceResponse|Conformance|CallerOwned|EpochOrder' ./internal/attest/cluster
 
 echo "== go test -race shutdown/leak regression suite (guardConn lifecycle, drain deadline, accept-race, eviction hammer)"
 go test -race -run 'GuardConn|ServerDrain|ServerClose|ServerSerialises|RegistryEviction' ./internal/attest ./internal/crp/store
