@@ -29,13 +29,9 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The attestation robustness tests (drop/corrupt/truncate/delay/duplicate
-# fault classes, retry, quarantine), the telemetry layer (tracer ring,
-# journal, health registry, admin endpoints under concurrent sweeps), the
-# CRP database/store claim paths, and the parallel batch-evaluation
-# packages under the race detector.
+# The race-detected packages: the same list scripts/verify.sh runs.
 race:
-	$(GO) test -race ./internal/attest/... ./internal/telemetry/... ./internal/crp/... ./internal/sim/... ./internal/core/... ./internal/experiments/...
+	$(GO) test -race ./internal/attest/... ./internal/telemetry/... ./internal/crp/... ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/attacks ./cmd/pufatt-top
 
 verify:
 	./scripts/verify.sh

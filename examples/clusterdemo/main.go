@@ -100,20 +100,13 @@ func main() {
 		fmt.Printf("   device %2d -> replicas %v\n", id, g.Replicas())
 	}
 
+	// The cluster is a device set: the fleet sweeps it with its worker
+	// pool and circuit breaker, recording into the cluster's telemetry.
+	fleet := attest.NewFleetOver(c, c.Telemetry())
 	policy := attest.RetryPolicy{MaxAttempts: 3, JitterSeed: 42}
 	sweep := func(label string) {
-		outcomes := c.Sweep(context.Background(), policy, 4)
-		accepted := 0
-		for id, o := range outcomes {
-			if o.Err != nil {
-				fmt.Printf("   device %2d FAILED: %v\n", id, o.Err)
-				continue
-			}
-			if o.Result.Accepted {
-				accepted++
-			}
-		}
-		fmt.Printf("== %s: %d/%d accepted\n", label, accepted, len(outcomes))
+		report := fleet.Sweep(context.Background(), policy)
+		fmt.Printf("== %s: %s; quarantined %v\n", label, report, fleet.Quarantined())
 	}
 
 	sweep("sweep 1 (all shards up)")

@@ -73,7 +73,7 @@ func buildShard(name string, design *pufatt.Design, image *pufatt.Image, baseID 
 			// Exactly the signal the timing SLO and RTT burn alert watch.
 			agent = attest.NewFaultyLink(prover, attest.FaultPlan{Jitter: 1, JitterSeconds: 0.030}, uint64(id))
 		}
-		if err := fleet.Enroll(id, verifier, agent); err != nil {
+		if err := fleet.Enroll(id, verifier, agent, attest.DefaultLink()); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -98,14 +98,14 @@ func main() {
 	east := buildShard("east", design, image, 0, -1)
 	west := buildShard("west", design, image, 100, 2)
 	shards := []*shard{east, west}
-	link := attest.DefaultLink()
+	policy := attest.RetryPolicy{MaxAttempts: 3}
 
 	// Calibration sweep: the slowest honest round-trip plus a guard band
 	// sets each shard's timing SLO. West node 2's extra 30 ms lands far
 	// outside it.
 	var calib float64
 	for _, s := range shards {
-		report := s.fleet.Sweep(link)
+		report := s.fleet.Sweep(context.Background(), policy)
 		for _, r := range report.Results {
 			honest := !(s == west && r.NodeID == 102)
 			if honest && r.Err == nil && r.Result.Elapsed > calib {
@@ -177,7 +177,7 @@ func main() {
 	// and burn windows fill while the admin surfaces are live.
 	for round := 0; round < 20; round++ {
 		for _, s := range shards {
-			s.fleet.Sweep(link)
+			s.fleet.Sweep(context.Background(), policy)
 		}
 		time.Sleep(500 * time.Millisecond)
 	}

@@ -96,7 +96,7 @@ func main() {
 		case 5: // flaky radio: most frames dropped, transiently
 			agent = pufatt.NewFaultyLink(prover, pufatt.FaultPlan{Drop: 0.7}, 99)
 		}
-		if err := fleet.Enroll(id, verifier, agent); err != nil {
+		if err := fleet.Enroll(id, verifier, agent, link); err != nil {
 			log.Fatal(err)
 		}
 		verifiers = append(verifiers, verifier)
@@ -119,8 +119,8 @@ func main() {
 	// honest answer, so it lands over the bound while every one of its
 	// verdicts stays accepted — challenge-to-challenge compute variance
 	// alone never crosses the guard band.
-	opts := pufatt.DefaultSweepOptions()
-	report := fleet.SweepWithOptions(context.Background(), link, opts)
+	policy := pufatt.RetryPolicy{MaxAttempts: 3}
+	report := fleet.Sweep(context.Background(), policy)
 	var calib float64
 	for _, r := range report.Results {
 		if r.NodeID != 2 && r.Err == nil && r.Result.Elapsed > calib {
@@ -136,7 +136,7 @@ func main() {
 	fmt.Printf("timing SLO: p95 RTT ≤ %.4fs (slowest honest RTT %.4fs + 12ms)\n\n", slo.MaxRTTP95, calib)
 
 	for i := 2; i <= 6; i++ {
-		report = fleet.SweepWithOptions(context.Background(), link, opts)
+		report = fleet.Sweep(context.Background(), policy)
 		fmt.Printf("sweep %d: %s\n", i, report.String())
 	}
 

@@ -71,7 +71,7 @@ func main() {
 		case 6: // dead link: drops everything, forever
 			agent = pufatt.NewFaultyLink(prover, pufatt.FaultPlan{Drop: 1}, 43)
 		}
-		if err := fleet.Enroll(id, v, agent); err != nil {
+		if err := fleet.Enroll(id, v, agent, link); err != nil {
 			log.Fatal(err)
 		}
 		nodes = append(nodes, &node{id: id, prover: prover, port: port})
@@ -80,10 +80,10 @@ func main() {
 	fmt.Println("node 5: flaky radio (transient), node 6: dead radio (persistent)")
 	fmt.Println()
 
-	opts := pufatt.DefaultSweepOptions() // bounded concurrency, 3 attempts/node
+	policy := pufatt.RetryPolicy{MaxAttempts: 3} // per node; quarantined nodes get one probe
 	sweep := func(tag string) {
 		fmt.Printf("fleet sweep (%s):\n", tag)
-		report := fleet.SweepWithOptions(context.Background(), link, opts)
+		report := fleet.Sweep(context.Background(), policy)
 		for _, r := range report.Results {
 			status := "OK         "
 			switch {

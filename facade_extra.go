@@ -193,9 +193,6 @@ type (
 	Fleet = attest.Fleet
 	// NodeResult is one node's sweep outcome.
 	NodeResult = attest.NodeResult
-	// SweepOptions tunes a fleet sweep (concurrency, retry budget,
-	// quarantine probing).
-	SweepOptions = attest.SweepOptions
 	// SweepReport classifies a sweep's nodes into healthy, compromised
 	// (verifier rejected), unreachable (transport exhausted), and
 	// quarantined.
@@ -204,18 +201,6 @@ type (
 
 // NewFleet returns an empty device fleet.
 func NewFleet() *Fleet { return attest.NewFleet() }
-
-// DefaultSweepOptions returns the bounded-concurrency sweep defaults.
-func DefaultSweepOptions() SweepOptions { return attest.DefaultSweepOptions() }
-
-// Compromised filters a sweep's results down to the nodes the verifier
-// REJECTED — the security failures. Nodes that could not be reached at all
-// are reported by Unreachable instead.
-func Compromised(results []NodeResult) []int { return attest.Compromised(results) }
-
-// Unreachable filters a sweep's results down to the nodes whose transport
-// budget was exhausted — availability failures with no integrity verdict.
-func Unreachable(results []NodeResult) []int { return attest.Unreachable(results) }
 
 // ServeProver answers attestation challenges on a TCP address; the returned
 // function closes the listener.

@@ -3,6 +3,7 @@ package attest
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -203,6 +204,58 @@ func TestConcurrentFlightDumpUniqueFilenames(t *testing.T) {
 		if fi, serr := os.Stat(p); serr != nil || fi.Size() == 0 {
 			t.Errorf("dump %s: stat err=%v, empty=%v", p, serr, serr == nil && fi.Size() == 0)
 		}
+	}
+}
+
+// TestFlightDumpsBounded hammers a flight directory with the dumps of a
+// node behind a dead link, swept again and again: the directory keeps at
+// most maxFlightDumps dumps, each sweep's dump survives as the newest, the
+// sequence continues past a dump an earlier process left behind, and files
+// outside the dump name pattern are never removed.
+func TestFlightDumpsBounded(t *testing.T) {
+	f := newFixture(t, 65)
+	T := newFleetTelemetry()
+	dir := t.TempDir()
+	T.SetFlightDir(dir)
+	const leftover = 900000 // a dump from an earlier, longer-lived process
+	for _, name := range []string{fmt.Sprintf("flight-%d-transport.jsonl", leftover), "flight-notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fleet := NewFleet()
+	fleet.Telemetry = T
+	if err := fleet.Enroll(1, f.verifier, NewFaultyLink(f.prover, FaultPlan{Drop: 1}, 9), DefaultLink()); err != nil {
+		t.Fatal(err)
+	}
+
+	newest := uint64(leftover)
+	for i := 0; i < 2*maxFlightDumps; i++ {
+		if rep := fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 1}); len(rep.Healthy) != 0 {
+			t.Fatalf("sweep %d: %s, want the dead node to fail", i+1, rep)
+		}
+		dumps, err := filepath.Glob(filepath.Join(dir, "flight-*.jsonl"))
+		if err != nil || len(dumps) > maxFlightDumps {
+			t.Fatalf("sweep %d: %d dumps on disk (err=%v), want at most %d", i+1, len(dumps), err, maxFlightDumps)
+		}
+		listed, err := flightDumps(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := listed[len(listed)-1].seq
+		if last <= newest {
+			t.Fatalf("sweep %d: newest dump seq %d, want a new dump past %d", i+1, last, newest)
+		}
+		newest = last
+	}
+	if listed, _ := flightDumps(dir); len(listed) != maxFlightDumps {
+		t.Fatalf("dumps after the storm = %d, want %d", len(listed), maxFlightDumps)
+	}
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("flight-%d-transport.jsonl", leftover))); !os.IsNotExist(err) {
+		t.Fatalf("oldest dump survived the storm: stat err=%v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "flight-notes.txt")); err != nil {
+		t.Fatalf("non-dump file removed: %v", err)
 	}
 }
 

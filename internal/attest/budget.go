@@ -113,13 +113,3 @@ func (v *Verifier) BudgetRemaining() int {
 	}
 	return v.Seeds.Remaining()
 }
-
-// EnrollWithBudget registers a node whose verifier draws every session
-// seed from the budget. A fleet of nodes may share one budget (a common
-// enrollment pool) or hold one each; either way exhaustion surfaces as a
-// terminal session error, distinct from both transport faults and
-// integrity rejections.
-func (f *Fleet) EnrollWithBudget(nodeID int, v *Verifier, agent ProverAgent, b SeedBudget) error {
-	v.Seeds = b
-	return f.Enroll(nodeID, v, agent)
-}

@@ -115,12 +115,12 @@ func TestFleetSweepSharedBudgetRace(t *testing.T) {
 	fleet.Telemetry = NewTelemetry(telemetry.NewRegistry(), telemetry.NewTracer(8))
 	for id := 0; id < nodes; id++ {
 		nf := newFixture(t, 64) // same seed: identical honest devices
-		if err := fleet.EnrollWithBudget(id, nf.verifier, nf.prover, pool); err != nil {
+		if err := fleet.Enroll(id, nf.verifier.WithSeedBudget(pool), nf.prover, DefaultLink()); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	report := fleet.Sweep(DefaultLink())
+	report := fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 3})
 	if len(report.Healthy) != nodes {
 		t.Fatalf("%s", report)
 	}
@@ -129,7 +129,7 @@ func TestFleetSweepSharedBudgetRace(t *testing.T) {
 	}
 
 	// Second sweep drains the pool exactly; nothing is double-counted.
-	report = fleet.Sweep(DefaultLink())
+	report = fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 3})
 	if len(report.Healthy) != nodes {
 		t.Fatalf("second sweep: %s", report)
 	}
@@ -140,7 +140,7 @@ func TestFleetSweepSharedBudgetRace(t *testing.T) {
 	// Third sweep: every node fails terminally (exhausted), none retried
 	// as transport, and the parallel claims stay consistent. Exhaustion is
 	// its own lifecycle regime — awaiting re-enrollment, not unreachable.
-	report = fleet.Sweep(DefaultLink())
+	report = fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 3})
 	if len(report.Exhausted) != nodes {
 		t.Fatalf("exhausted sweep: %s", report)
 	}

@@ -248,6 +248,21 @@ func (c *Cluster) Devices() []int {
 	return ids
 }
 
+var _ attest.DeviceSet = (*Cluster)(nil)
+
+// DeviceName returns the name a bound device's sessions are journalled
+// under ("" for a device that is not bound). With Devices and Attest it
+// makes the cluster an attest.DeviceSet, so attest.NewFleetOver sweeps it
+// with the fleet's worker pool, circuit breaker and report.
+func (c *Cluster) DeviceName(id int) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if b := c.bindings[id]; b != nil {
+		return b.verifier.Device
+	}
+	return ""
+}
+
 // Attest runs one attestation session for the device through the cluster
 // accept path: ring routing, liveness failover, admission control, then
 // the standard retry loop over the device's bound agent. Overload and
@@ -317,46 +332,6 @@ func (c *Cluster) Attest(ctx context.Context, id int, policy attest.RetryPolicy)
 	g.active.Store(sp)
 	defer g.active.Store(nil)
 	return c.tel.RunSessionRetry(attest.WithTraceParent(ctx, sp.Context()), b.verifier, b.agent, b.link, policy)
-}
-
-// SweepOutcome is one device's result from a cluster sweep.
-type SweepOutcome struct {
-	Result   attest.Result
-	Attempts int
-	Err      error
-}
-
-// Sweep attests every enrolled-and-bound device once, fanning out over
-// workers goroutines (<=0 = 8). Per-device outcomes are returned keyed by
-// chip ID; the sweep itself never fails — a shard dying mid-sweep shows
-// up as per-device errors or, with AutoFailover, not at all.
-func (c *Cluster) Sweep(ctx context.Context, policy attest.RetryPolicy, workers int) map[int]SweepOutcome {
-	if workers <= 0 {
-		workers = 8
-	}
-	ids := c.Devices()
-	out := make(map[int]SweepOutcome, len(ids))
-	var outMu sync.Mutex
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range work {
-				res, attempts, err := c.Attest(ctx, id, policy)
-				outMu.Lock()
-				out[id] = SweepOutcome{Result: res, Attempts: attempts, Err: err}
-				outMu.Unlock()
-			}
-		}()
-	}
-	for _, id := range ids {
-		work <- id
-	}
-	close(work)
-	wg.Wait()
-	return out
 }
 
 // Audit is the merged claim-log audit: every device's replica logs

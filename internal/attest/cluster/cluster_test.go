@@ -311,6 +311,13 @@ func fleetFixtures(t *testing.T) (*core.Design, *swatt.Image) {
 // verifier/prover session endpoint, mirroring a production bring-up.
 func bindTestDevice(t *testing.T, c *Cluster, id, numSeeds int) *Group {
 	t.Helper()
+	return bindTestDeviceVia(t, c, id, numSeeds, nil)
+}
+
+// bindTestDeviceVia is bindTestDevice with the prover reached through
+// wrap(prover) when wrap is non-nil (a FaultyLink, say).
+func bindTestDeviceVia(t *testing.T, c *Cluster, id, numSeeds int, wrap func(attest.ProverAgent) attest.ProverAgent) *Group {
+	t.Helper()
 	design, image := fleetFixtures(t)
 	dev, err := core.NewDevice(design, rng.New(uint64(id)+1), id)
 	if err != nil {
@@ -345,7 +352,11 @@ func bindTestDevice(t *testing.T, c *Cluster, id, numSeeds int) *Group {
 	v.PUFEpoch = enr.Epoch()
 	v.Nonces = rng.New(uint64(id)*3 + 7).Uint32
 	v.AllowNetwork(link)
-	if err := c.Bind(id, v, prover, link); err != nil {
+	var agent attest.ProverAgent = prover
+	if wrap != nil {
+		agent = wrap(prover)
+	}
+	if err := c.Bind(id, v, agent, link); err != nil {
 		t.Fatal(err)
 	}
 	return g
@@ -361,12 +372,13 @@ func TestClusterLeaderKillMidSweep(t *testing.T) {
 		bindTestDevice(t, c, id, 8)
 	}
 	policy := attest.RetryPolicy{MaxAttempts: 3, JitterSeed: 1}
+	fleet := attest.NewFleetOver(c, c.Telemetry())
 
-	var out map[int]SweepOutcome
+	var report attest.SweepReport
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		out = c.Sweep(context.Background(), policy, 6)
+		report = fleet.Sweep(context.Background(), policy)
 	}()
 	time.Sleep(2 * time.Millisecond)
 	if err := c.Kill("shard-0"); err != nil {
@@ -374,20 +386,24 @@ func TestClusterLeaderKillMidSweep(t *testing.T) {
 	}
 	<-done
 
-	for id, o := range out {
-		if o.Err != nil {
-			t.Fatalf("device %d sweep 1: %v", id, o.Err)
+	for _, r := range report.Results {
+		if !r.Healthy() {
+			t.Fatalf("device %d sweep 1: err=%v reason=%s", r.NodeID, r.Err, r.Result.Reason)
 		}
-		if !o.Result.Accepted {
-			t.Fatalf("device %d sweep 1 rejected: %s", id, o.Result.Reason)
-		}
+	}
+	if len(report.Healthy) != devices {
+		t.Fatalf("sweep 1: %s", report)
 	}
 	// Second sweep with the shard still dead: every device it led is now
 	// served by a promoted, caught-up replica.
-	for id, o := range c.Sweep(context.Background(), policy, 6) {
-		if o.Err != nil || !o.Result.Accepted {
-			t.Fatalf("device %d sweep 2: err=%v accepted=%v", id, o.Err, o.Result.Accepted)
+	report = fleet.Sweep(context.Background(), policy)
+	for _, r := range report.Results {
+		if !r.Healthy() {
+			t.Fatalf("device %d sweep 2: err=%v accepted=%v", r.NodeID, r.Err, r.Result.Accepted)
 		}
+	}
+	if len(report.Healthy) != devices {
+		t.Fatalf("sweep 2: %s", report)
 	}
 	audit := c.AuditClaims()
 	if !audit.Clean() {

@@ -11,11 +11,23 @@ import (
 	"pufatt/internal/telemetry"
 )
 
+// DeviceSet is a population of devices a Fleet sweeps: the fleet's own
+// enrolled nodes, or a verifier cluster (cluster.Cluster implements it).
+type DeviceSet interface {
+	// Devices returns the ids of the devices to sweep.
+	Devices() []int
+	// Attest runs one device's retried session: the result, the number of
+	// attempts made, and the terminal error when no session completed.
+	Attest(ctx context.Context, id int, policy RetryPolicy) (Result, int, error)
+	// DeviceName returns the device name its sessions are journalled under.
+	DeviceName(id int) string
+}
+
 // Fleet manages attestation for a population of enrolled devices — the
-// sensor-network deployment the paper's introduction motivates. Each node
-// is enrolled with its own verifier (emulation model or CRP database); a
-// sweep attests every node over its (possibly lossy) link and produces a
-// degradation report that keeps the two failure regimes apart:
+// sensor-network deployment the paper's introduction motivates. A sweep
+// attests every device of the fleet's device set over its (possibly lossy)
+// link and produces a degradation report that keeps the two failure
+// regimes apart:
 //
 //   - compromised — the verifier completed a session and REJECTED it. A
 //     security event. Never retried (see RetryPolicy).
@@ -23,24 +35,21 @@ import (
 //     nothing about the node's integrity. An availability event.
 //
 // Nodes that are unreachable sweep after sweep trip a per-node circuit
-// breaker: they are quarantined and skipped (reported, not attested) until
-// a probe succeeds or the operator reinstates them, so a dead region of the
-// network cannot consume the whole sweep's retry budget forever.
+// breaker: they are quarantined and cost one half-open probe per sweep
+// until a probe succeeds or the operator reinstates them, so a dead region
+// of the network cannot consume the whole sweep's retry budget forever.
 type Fleet struct {
-	// QuarantineThreshold is the number of consecutive unreachable sweeps
-	// after which a node is quarantined (0 disables quarantine).
-	QuarantineThreshold int
-
 	// Telemetry receives the fleet's metrics (sweep outcomes, quarantine
 	// transitions, the open-quarantine gauge). Nil means the package
 	// default registry, which the admin endpoint serves; tests install a
 	// private Telemetry to assert exact counts.
 	Telemetry *Telemetry
 
-	mu        sync.Mutex
-	verifiers map[int]*Verifier
-	agents    map[int]ProverAgent
-	health    map[int]*nodeHealth
+	set DeviceSet
+
+	mu     sync.Mutex
+	nodes  map[int]node        // the fleet's own nodes; nil when sweeping another set
+	health map[int]*nodeHealth // circuit-breaker state by device id
 }
 
 // nodeHealth is the per-node circuit-breaker state.
@@ -49,18 +58,29 @@ type nodeHealth struct {
 	quarantined            bool
 }
 
-// DefaultQuarantineThreshold is the consecutive-unreachable-sweep count at
-// which a fresh fleet quarantines a node.
-const DefaultQuarantineThreshold = 3
+const (
+	// DefaultSweepConcurrency bounds the number of devices a sweep attests
+	// at once: sweeps must finish in bounded time on a large fleet without
+	// stampeding the base station, hence a worker pool rather than either
+	// extreme.
+	DefaultSweepConcurrency = 8
+	// DefaultQuarantineThreshold is the number of consecutive unreachable
+	// sweeps after which a node is quarantined.
+	DefaultQuarantineThreshold = 3
+)
 
-// NewFleet returns an empty fleet with the default quarantine threshold.
+// NewFleet returns an empty fleet that sweeps the nodes enrolled with
+// Enroll.
 func NewFleet() *Fleet {
-	return &Fleet{
-		QuarantineThreshold: DefaultQuarantineThreshold,
-		verifiers:           make(map[int]*Verifier),
-		agents:              make(map[int]ProverAgent),
-		health:              make(map[int]*nodeHealth),
-	}
+	f := &Fleet{nodes: make(map[int]node), health: make(map[int]*nodeHealth)}
+	f.set = fleetNodes{f}
+	return f
+}
+
+// NewFleetOver returns a fleet that sweeps an existing device set,
+// recording into t (nil means the package default).
+func NewFleetOver(set DeviceSet, t *Telemetry) *Fleet {
+	return &Fleet{Telemetry: t, set: set, health: make(map[int]*nodeHealth)}
 }
 
 // telemetry returns the fleet's metric sink (the package default when the
@@ -72,31 +92,69 @@ func (f *Fleet) telemetry() *Telemetry {
 	return tel
 }
 
-// Enroll registers a node's verifier and its prover agent under a node id.
-// Wrap the agent in a FaultyLink to model a lossy last hop. A verifier with
-// no Device name is given "node-<id>", so fleet sessions always carry a
-// device identity into the health registry and the journal.
-func (f *Fleet) Enroll(nodeID int, v *Verifier, agent ProverAgent) error {
+// node is one enrolled node's session endpoint.
+type node struct {
+	verifier *Verifier
+	agent    ProverAgent
+	link     Link
+}
+
+// fleetNodes is the device set of a fleet's own enrolled nodes. Its
+// methods take the fleet's mutex, so the fleet must not call its set while
+// holding it.
+type fleetNodes struct{ f *Fleet }
+
+func (s fleetNodes) Devices() []int {
+	s.f.mu.Lock()
+	defer s.f.mu.Unlock()
+	ids := make([]int, 0, len(s.f.nodes))
+	for id := range s.f.nodes {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+func (s fleetNodes) Attest(ctx context.Context, id int, policy RetryPolicy) (Result, int, error) {
+	s.f.mu.Lock()
+	n, ok := s.f.nodes[id]
+	s.f.mu.Unlock()
+	if !ok {
+		return Result{}, 0, fmt.Errorf("attest: node %d not enrolled", id)
+	}
+	return s.f.telemetry().RunSessionRetry(ctx, n.verifier, n.agent, n.link, policy)
+}
+
+func (s fleetNodes) DeviceName(id int) string {
+	s.f.mu.Lock()
+	defer s.f.mu.Unlock()
+	if n, ok := s.f.nodes[id]; ok {
+		return n.verifier.Device
+	}
+	return ""
+}
+
+// Enroll registers a node's verifier, its prover agent and its link under
+// a node id. Wrap the agent in a FaultyLink to model a lossy last hop. A
+// verifier with no Device name is given "node-<id>", so fleet sessions
+// always carry a device identity into the health registry and the journal.
+func (f *Fleet) Enroll(nodeID int, v *Verifier, agent ProverAgent, link Link) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, dup := f.verifiers[nodeID]; dup {
+	if f.nodes == nil {
+		return fmt.Errorf("attest: fleet sweeps an external device set; enroll node %d there", nodeID)
+	}
+	if _, dup := f.nodes[nodeID]; dup {
 		return fmt.Errorf("attest: node %d already enrolled", nodeID)
 	}
 	if v.Device == "" {
 		v.Device = fmt.Sprintf("node-%d", nodeID)
 	}
-	f.verifiers[nodeID] = v
-	f.agents[nodeID] = agent
-	f.health[nodeID] = &nodeHealth{}
+	f.nodes[nodeID] = node{verifier: v, agent: agent, link: link}
 	return nil
 }
 
-// Size returns the number of enrolled nodes.
-func (f *Fleet) Size() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.verifiers)
-}
+// Size returns the number of devices the fleet sweeps.
+func (f *Fleet) Size() int { return len(f.set.Devices()) }
 
 // Quarantined returns the currently quarantined node ids, ascending.
 func (f *Fleet) Quarantined() []int {
@@ -115,6 +173,7 @@ func (f *Fleet) Quarantined() []int {
 // Reinstate clears a node's quarantine and failure history (an operator
 // decision: the node was serviced, attest it normally again).
 func (f *Fleet) Reinstate(nodeID int) {
+	name := f.set.DeviceName(nodeID)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	h, ok := f.health[nodeID]
@@ -125,10 +184,8 @@ func (f *Fleet) Reinstate(nodeID int) {
 		T := f.telemetry()
 		T.QuarantineTransitions.With(transitionReinstate).Inc()
 		T.QuarantineOpen.Add(-1)
-		if v := f.verifiers[nodeID]; v != nil {
-			T.Health.ObserveQuarantine(v.Device, false)
-			T.journal(telemetry.EventQuarantine, 0, 0, v.Device, "lifted: operator reinstate")
-		}
+		T.Health.ObserveQuarantine(name, false)
+		T.journal(telemetry.EventQuarantine, 0, 0, name, "lifted: operator reinstate")
 	}
 	h.quarantined = false
 	h.consecutiveUnreachable = 0
@@ -139,10 +196,10 @@ type NodeResult struct {
 	NodeID int
 	Result Result
 	// Err is the terminal error when no session completed (transport
-	// budget exhausted, quarantine skip, sweep cancellation, or an
-	// agent-internal failure).
+	// budget exhausted, failed quarantine probe, sweep cancellation, a
+	// verifier-tier refusal, or an agent-internal failure).
 	Err error
-	// Attempts is the number of sessions tried (0 for a quarantine skip).
+	// Attempts is the number of sessions tried (0 for a failed probe).
 	Attempts int
 }
 
@@ -164,37 +221,6 @@ func (r NodeResult) Exhausted() bool { return r.Err != nil && IsExhausted(r.Err)
 // quarantine), so the verifier learned nothing about the node's integrity
 // this sweep. Budget exhaustion is NOT unreachable — see Exhausted.
 func (r NodeResult) Unreachable() bool { return r.Err != nil && !IsExhausted(r.Err) }
-
-// SweepOptions tunes a fleet sweep.
-type SweepOptions struct {
-	// Concurrency bounds the number of nodes attested at once (<=0 means
-	// DefaultSweepConcurrency). Sweeps must finish in bounded time on a
-	// million-node fleet without stampeding the base station, hence a
-	// worker pool rather than either extreme.
-	Concurrency int
-	// Retry is each node's transport-fault budget. The zero value means a
-	// single attempt, no backoff.
-	Retry RetryPolicy
-	// ProbeQuarantined sends quarantined nodes one half-open probe (a
-	// single attempt, no retries). A node whose probe succeeds leaves
-	// quarantine with its verdict recorded; a failed probe keeps it
-	// quarantined. When false, quarantined nodes are skipped outright.
-	ProbeQuarantined bool
-}
-
-// DefaultSweepConcurrency bounds a sweep that did not choose its own width.
-const DefaultSweepConcurrency = 8
-
-// DefaultSweepOptions returns the sweep configuration used by Sweep: a
-// bounded worker pool, three attempts per node with no backoff sleeping
-// (the fleet path runs on the simulated clock), and half-open probing.
-func DefaultSweepOptions() SweepOptions {
-	return SweepOptions{
-		Concurrency:      DefaultSweepConcurrency,
-		Retry:            RetryPolicy{MaxAttempts: 3},
-		ProbeQuarantined: true,
-	}
-}
 
 // SweepStats aggregates one sweep's telemetry: the same numbers the metric
 // counters accumulate process-wide, scoped to a single sweep so operators
@@ -229,10 +255,10 @@ type SweepStats struct {
 
 // SweepReport is the outcome of one fleet sweep, with node ids classified
 // by regime (each list ascending; Healthy ∪ Compromised ∪ Exhausted ∪
-// Unreachable ∪ Quarantined covers every enrolled node exactly once —
-// quarantined nodes that were probed are classified by their probe
-// outcome instead, and nodes abandoned by a cancelled sweep count as
-// Unreachable).
+// Unreachable ∪ Quarantined covers every swept node exactly once).
+// Quarantined nodes are classified by their half-open probe: a completed
+// probe lands in Healthy or Compromised, a failed one in Quarantined.
+// Nodes abandoned by a cancelled sweep count as Unreachable.
 type SweepReport struct {
 	Results []NodeResult // ascending node id
 	// Healthy nodes attested and were accepted.
@@ -242,10 +268,11 @@ type SweepReport struct {
 	// Exhausted nodes could not open a session because their seed budget
 	// is spent: awaiting re-enrollment, not compromised, not unreachable.
 	Exhausted []int
-	// Unreachable nodes exhausted their transport budget.
+	// Unreachable nodes completed no session: their transport budget ran
+	// out, the sweep was cancelled, or the verifier tier refused them.
 	Unreachable []int
-	// Quarantined nodes were skipped (circuit breaker open, not probed or
-	// probe failed).
+	// Quarantined nodes sit behind an open circuit breaker and failed
+	// this sweep's half-open probe.
 	Quarantined []int
 	// Stats carries the sweep's aggregate telemetry.
 	Stats SweepStats
@@ -255,12 +282,6 @@ type SweepReport struct {
 func (r SweepReport) String() string {
 	return fmt.Sprintf("sweep: %d nodes, %d healthy, %d compromised, %d exhausted, %d unreachable, %d quarantined",
 		len(r.Results), len(r.Healthy), len(r.Compromised), len(r.Exhausted), len(r.Unreachable), len(r.Quarantined))
-}
-
-// Sweep attests every enrolled node with the default sweep options. It is
-// a thin wrapper over SweepWithOptions with a background context.
-func (f *Fleet) Sweep(link Link) SweepReport {
-	return f.SweepWithOptions(context.Background(), link, DefaultSweepOptions())
 }
 
 // nodeOutcome carries one node's result plus the bookkeeping the sweep
@@ -275,34 +296,20 @@ type nodeOutcome struct {
 	cancelled bool
 }
 
-// SweepWithOptions attests every enrolled node over the link with bounded
-// concurrency and per-node retry budgets, updates the quarantine state, and
+// Sweep attests every device of the fleet's set, DefaultSweepConcurrency
+// at a time, each with the policy's transport-fault budget (quarantined
+// nodes get one half-open probe instead), updates the circuit breakers, and
 // classifies the outcome. Cancelling ctx stops the sweep mid-flight: nodes
 // not yet attested are reported with ErrCancelled (classified unreachable,
 // counted in Stats.Cancelled) and their circuit breakers are left alone —
 // cancellation says nothing about a node's reachability.
-func (f *Fleet) SweepWithOptions(ctx context.Context, link Link, opts SweepOptions) SweepReport {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (f *Fleet) Sweep(ctx context.Context, policy RetryPolicy) SweepReport {
 	T := f.telemetry()
 	start := T.Tracer.Now()
 
-	f.mu.Lock()
-	ids := make([]int, 0, len(f.verifiers))
-	for id := range f.verifiers {
-		ids = append(ids, id)
-	}
-	f.mu.Unlock()
+	ids := f.set.Devices()
 	sort.Ints(ids)
-
-	width := opts.Concurrency
-	if width <= 0 {
-		width = DefaultSweepConcurrency
-	}
-	if width > len(ids) {
-		width = len(ids)
-	}
+	width := min(DefaultSweepConcurrency, len(ids))
 
 	outcomes := make([]nodeOutcome, len(ids))
 	var wg sync.WaitGroup
@@ -319,7 +326,7 @@ func (f *Fleet) SweepWithOptions(ctx context.Context, link Link, opts SweepOptio
 					}
 					continue
 				}
-				outcomes[i] = f.attestNode(ctx, ids[i], link, opts)
+				outcomes[i] = f.attestNode(ctx, ids[i], policy)
 			}
 		}()
 	}
@@ -390,31 +397,28 @@ func (f *Fleet) SweepWithOptions(ctx context.Context, link Link, opts SweepOptio
 }
 
 // attestNode runs one node's sweep step: quarantine gate, retried session,
-// circuit-breaker bookkeeping.
-func (f *Fleet) attestNode(ctx context.Context, id int, link Link, opts SweepOptions) nodeOutcome {
+// circuit-breaker bookkeeping. Only transport faults advance the breaker:
+// a refusal by the verifier tier (overload, no serviceable leader) says
+// nothing about the device.
+func (f *Fleet) attestNode(ctx context.Context, id int, policy RetryPolicy) nodeOutcome {
 	f.mu.Lock()
-	v := f.verifiers[id]
-	agent := f.agents[id]
 	h := f.health[id]
+	if h == nil {
+		h = &nodeHealth{}
+		f.health[id] = h
+	}
 	quarantined := h.quarantined
 	f.mu.Unlock()
 
 	T := f.telemetry()
-	policy := opts.Retry
-	probe := false
 	if quarantined {
-		if !opts.ProbeQuarantined {
-			return nodeOutcome{res: NodeResult{NodeID: id, Err: fmt.Errorf("%w (skipped)", ErrQuarantined)}}
-		}
-		probe = true
 		policy = RetryPolicy{MaxAttempts: 1} // half-open: one probe, no retries
 	}
-
-	res, attempts, err := T.RunSessionRetry(ctx, v, agent, link, policy)
+	res, attempts, err := f.set.Attest(ctx, id, policy)
 	out := nodeOutcome{
 		res:      NodeResult{NodeID: id, Result: res, Err: err, Attempts: attempts},
 		attempts: attempts,
-		probe:    probe,
+		probe:    quarantined,
 	}
 	if errors.Is(err, ErrCancelled) {
 		// The sweep was cancelled mid-node. No breaker update: the node
@@ -428,7 +432,11 @@ func (f *Fleet) attestNode(ctx context.Context, id int, link Link, opts SweepOpt
 		out.res.Attempts = 0
 		T.QuarantineTransitions.With(transitionProbeFailed).Inc()
 	}
+	if err != nil && !IsTransport(err) {
+		return out
+	}
 
+	name := f.set.DeviceName(id)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	switch {
@@ -441,45 +449,19 @@ func (f *Fleet) attestNode(ctx context.Context, id int, link Link, opts SweepOpt
 			out.lifted = true
 			T.QuarantineTransitions.With(transitionExit).Inc()
 			T.QuarantineOpen.Add(-1)
-			T.Health.ObserveQuarantine(v.Device, false)
-			T.journal(telemetry.EventQuarantine, 0, 0, v.Device, "lifted: probe succeeded")
+			T.Health.ObserveQuarantine(name, false)
+			T.journal(telemetry.EventQuarantine, 0, 0, name, "lifted: probe succeeded")
 		}
-	case IsTransport(err) && !quarantined:
+	case !quarantined:
 		h.consecutiveUnreachable++
-		if f.QuarantineThreshold > 0 && h.consecutiveUnreachable >= f.QuarantineThreshold && !h.quarantined {
+		if h.consecutiveUnreachable >= DefaultQuarantineThreshold && !h.quarantined {
 			h.quarantined = true
 			out.entered = true
 			T.QuarantineTransitions.With(transitionEnter).Inc()
 			T.QuarantineOpen.Add(1)
-			T.Health.ObserveQuarantine(v.Device, true)
-			T.journal(telemetry.EventQuarantine, 0, 0, v.Device,
+			T.Health.ObserveQuarantine(name, true)
+			T.journal(telemetry.EventQuarantine, 0, 0, name,
 				fmt.Sprintf("entered: %d consecutive unreachable sweeps", h.consecutiveUnreachable))
-		}
-	}
-	return out
-}
-
-// Compromised returns the node ids whose sweep completed and was rejected
-// by the verifier — the security failures. Transport failures are NOT
-// included; see Unreachable.
-func Compromised(results []NodeResult) []int {
-	var bad []int
-	for _, r := range results {
-		if r.Compromised() {
-			bad = append(bad, r.NodeID)
-		}
-	}
-	return bad
-}
-
-// Unreachable returns the node ids whose sweep never completed a session —
-// the availability failures, about which the verifier has no integrity
-// verdict either way.
-func Unreachable(results []NodeResult) []int {
-	var out []int
-	for _, r := range results {
-		if r.Unreachable() {
-			out = append(out, r.NodeID)
 		}
 	}
 	return out

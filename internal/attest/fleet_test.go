@@ -1,6 +1,7 @@
 package attest
 
 import (
+	"context"
 	"testing"
 
 	"pufatt/internal/core"
@@ -30,7 +31,7 @@ func buildFleet(t *testing.T, nodes int) (*Fleet, []*Prover, *swatt.Image) {
 			t.Fatal(err)
 		}
 		v.AllowNetwork(link)
-		if err := fleet.Enroll(id, v, prover); err != nil {
+		if err := fleet.Enroll(id, v, prover, link); err != nil {
 			t.Fatal(err)
 		}
 		provers = append(provers, prover)
@@ -43,7 +44,8 @@ func TestFleetSweepAllHealthy(t *testing.T) {
 	if fleet.Size() != 3 {
 		t.Fatalf("size = %d", fleet.Size())
 	}
-	results := fleet.Sweep(DefaultLink()).Results
+	report := fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 3})
+	results := report.Results
 	if len(results) != 3 {
 		t.Fatalf("%d results", len(results))
 	}
@@ -52,7 +54,7 @@ func TestFleetSweepAllHealthy(t *testing.T) {
 			t.Errorf("node %d unhealthy: %v %s", r.NodeID, r.Err, r.Result.Reason)
 		}
 	}
-	if bad := Compromised(results); bad != nil {
+	if bad := report.Compromised; bad != nil {
 		t.Errorf("compromised = %v, want none", bad)
 	}
 }
@@ -65,8 +67,9 @@ func TestFleetSweepPinpointsCompromise(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		provers[1].Image.Mem[image.Layout.PayloadAddr+i] ^= 0xAA
 	}
-	results := fleet.Sweep(DefaultLink()).Results
-	bad := Compromised(results)
+	report := fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 3})
+	results := report.Results
+	bad := report.Compromised
 	if len(bad) != 1 || bad[0] != 1 {
 		t.Errorf("compromised = %v, want [1]", bad)
 	}
@@ -80,7 +83,7 @@ func TestFleetSweepPinpointsCompromise(t *testing.T) {
 
 func TestFleetEnrollRejectsDuplicates(t *testing.T) {
 	fleet, _, _ := buildFleet(t, 1)
-	if err := fleet.Enroll(0, nil, nil); err == nil {
+	if err := fleet.Enroll(0, nil, nil, Link{}); err == nil {
 		t.Error("duplicate enrollment accepted")
 	}
 }

@@ -715,7 +715,7 @@ func buildResilientFleet(t *testing.T, nodes int, spec fleetSpec) *Fleet {
 		case spec.persistentFaulty[id]:
 			agent = NewFaultyLink(prover, FaultPlan{Drop: 1}, uint64(2000+id))
 		}
-		if err := fleet.Enroll(id, v, agent); err != nil {
+		if err := fleet.Enroll(id, v, agent, link); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -757,10 +757,9 @@ func TestFleetResilientSweep50(t *testing.T) {
 		persistentFaulty: idSet(persistent...),
 		tampered:         idSet(tampered...),
 	})
-	link := DefaultLink()
-	opts := SweepOptions{Concurrency: 8, Retry: RetryPolicy{MaxAttempts: 3}, ProbeQuarantined: true}
+	policy := RetryPolicy{MaxAttempts: 3}
 
-	report := fleet.SweepWithOptions(context.Background(), link, opts)
+	report := fleet.Sweep(context.Background(), policy)
 	if len(report.Results) != nodes {
 		t.Fatalf("%d results, want %d", len(report.Results), nodes)
 	}
@@ -788,16 +787,16 @@ func TestFleetResilientSweep50(t *testing.T) {
 		}
 	}
 	// The compromised/unreachable split must be disjoint and complete.
-	if bad := Compromised(report.Results); !sameIDs(bad, tampered) {
-		t.Errorf("Compromised() = %v, want %v", bad, tampered)
+	if bad := report.Compromised; !sameIDs(bad, tampered) {
+		t.Errorf("Compromised = %v, want %v", bad, tampered)
 	}
-	if un := Unreachable(report.Results); !sameIDs(un, persistent) {
-		t.Errorf("Unreachable() = %v, want %v", un, persistent)
+	if un := report.Unreachable; !sameIDs(un, persistent) {
+		t.Errorf("Unreachable = %v, want %v", un, persistent)
 	}
 
-	// Repeat offenders trip the breaker after QuarantineThreshold sweeps.
-	fleet.SweepWithOptions(context.Background(), link, opts)
-	report3 := fleet.SweepWithOptions(context.Background(), link, opts)
+	// Repeat offenders trip the breaker after DefaultQuarantineThreshold sweeps.
+	fleet.Sweep(context.Background(), policy)
+	report3 := fleet.Sweep(context.Background(), policy)
 	if !sameIDs(fleet.Quarantined(), persistent) {
 		t.Fatalf("quarantined = %v, want %v", fleet.Quarantined(), persistent)
 	}
@@ -808,7 +807,7 @@ func TestFleetResilientSweep50(t *testing.T) {
 	// Sweep 4: quarantined nodes get a single half-open probe each — which
 	// fails against a dead link — so they are reported as quarantined and
 	// consume no retry budget.
-	report4 := fleet.SweepWithOptions(context.Background(), link, opts)
+	report4 := fleet.Sweep(context.Background(), policy)
 	if !sameIDs(report4.Quarantined, persistent) {
 		t.Errorf("sweep 4 quarantined = %v, want %v", report4.Quarantined, persistent)
 	}
@@ -830,7 +829,7 @@ func TestFleetResilientSweep50(t *testing.T) {
 	// An operator reinstates a node; it is attested (and found
 	// unreachable) again instead of being skipped.
 	fleet.Reinstate(persistent[0])
-	report5 := fleet.SweepWithOptions(context.Background(), link, opts)
+	report5 := fleet.Sweep(context.Background(), policy)
 	r := report5.Results[persistent[0]]
 	if r.Attempts != 3 || !r.Unreachable() {
 		t.Errorf("reinstated node: attempts=%d unreachable=%v, want 3/true", r.Attempts, r.Unreachable())
@@ -858,20 +857,19 @@ func TestFleetQuarantineRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	healing := NewFaultyLink(prover, FaultPlan{Drop: 1, MaxFaults: 3}, 55)
-	if err := fleet.Enroll(5, v, healing); err != nil {
+	if err := fleet.Enroll(5, v, healing, DefaultLink()); err != nil {
 		t.Fatal(err)
 	}
-	link := DefaultLink()
-	opts := SweepOptions{Concurrency: 2, Retry: RetryPolicy{MaxAttempts: 1}, ProbeQuarantined: true}
+	policy := RetryPolicy{MaxAttempts: 1}
 	for i := 0; i < 3; i++ {
-		fleet.SweepWithOptions(context.Background(), link, opts)
+		fleet.Sweep(context.Background(), policy)
 	}
 	if !sameIDs(fleet.Quarantined(), []int{5}) {
 		t.Fatalf("quarantined = %v, want [5]", fleet.Quarantined())
 	}
 	// The link has healed (3 faults consumed); the next sweep's probe
 	// succeeds and lifts the quarantine.
-	report := fleet.SweepWithOptions(context.Background(), link, opts)
+	report := fleet.Sweep(context.Background(), policy)
 	if !report.Results[2].Healthy() { // index 2 = node id 5 (after 0, 1)
 		t.Fatalf("healed node probe failed: %+v", report.Results[2])
 	}
@@ -883,28 +881,9 @@ func TestFleetQuarantineRecovery(t *testing.T) {
 	}
 }
 
-// TestSweepProbeDisabled: with probing off, quarantined nodes are skipped
-// outright.
-func TestSweepProbeDisabled(t *testing.T) {
-	fleet := buildResilientFleet(t, 3, fleetSpec{persistentFaulty: idSet(1)})
-	link := DefaultLink()
-	opts := SweepOptions{Concurrency: 2, Retry: RetryPolicy{MaxAttempts: 1}, ProbeQuarantined: false}
-	for i := 0; i < 3; i++ {
-		fleet.SweepWithOptions(context.Background(), link, opts)
-	}
-	report := fleet.SweepWithOptions(context.Background(), link, opts)
-	if !sameIDs(report.Quarantined, []int{1}) {
-		t.Fatalf("quarantined = %v, want [1]", report.Quarantined)
-	}
-	r := report.Results[1]
-	if r.Attempts != 0 || !errors.Is(r.Err, ErrQuarantined) {
-		t.Errorf("skipped node: attempts=%d err=%v", r.Attempts, r.Err)
-	}
-}
-
 func TestSweepReportString(t *testing.T) {
 	fleet := buildResilientFleet(t, 2, fleetSpec{})
-	report := fleet.SweepWithOptions(context.Background(), DefaultLink(), DefaultSweepOptions())
+	report := fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 3})
 	s := report.String()
 	if s == "" || len(report.Healthy) != 2 {
 		t.Fatalf("report = %q healthy=%v", s, report.Healthy)

@@ -58,18 +58,17 @@ func TestQuarantineLifecycleTelemetry(t *testing.T) {
 	fleet := NewFleet()
 	T := newFleetTelemetry()
 	fleet.Telemetry = T
-	if err := fleet.Enroll(1, f.verifier, agent); err != nil {
+	if err := fleet.Enroll(1, f.verifier, agent, DefaultLink()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	link := DefaultLink()
-	opts := SweepOptions{Retry: RetryPolicy{MaxAttempts: 1}, ProbeQuarantined: true}
+	policy := RetryPolicy{MaxAttempts: 1}
 
 	transitions := func(kind string) uint64 { return T.QuarantineTransitions.With(kind).Value() }
 
 	// Threshold consecutive unreachable sweeps open the breaker.
 	for i := 0; i < DefaultQuarantineThreshold; i++ {
-		rep := fleet.SweepWithOptions(ctx, link, opts)
+		rep := fleet.Sweep(ctx, policy)
 		if len(rep.Unreachable) != 1 {
 			t.Fatalf("sweep %d: unreachable = %v, want [1]", i, rep.Unreachable)
 		}
@@ -85,7 +84,7 @@ func TestQuarantineLifecycleTelemetry(t *testing.T) {
 	}
 
 	// Still broken: the half-open probe fails, quarantine holds.
-	rep := fleet.SweepWithOptions(ctx, link, opts)
+	rep := fleet.Sweep(ctx, policy)
 	if len(rep.Quarantined) != 1 {
 		t.Fatalf("probe sweep: quarantined = %v, want [1]", rep.Quarantined)
 	}
@@ -98,7 +97,7 @@ func TestQuarantineLifecycleTelemetry(t *testing.T) {
 
 	// Repaired: the next probe succeeds and lifts the quarantine.
 	agent.setBroken(false)
-	rep = fleet.SweepWithOptions(ctx, link, opts)
+	rep = fleet.Sweep(ctx, policy)
 	if len(rep.Healthy) != 1 {
 		t.Fatalf("recovery sweep: healthy = %v, want [1]", rep.Healthy)
 	}
@@ -118,7 +117,7 @@ func TestQuarantineLifecycleTelemetry(t *testing.T) {
 	// Break it again, re-quarantine, and let the operator reinstate.
 	agent.setBroken(true)
 	for i := 0; i < DefaultQuarantineThreshold; i++ {
-		fleet.SweepWithOptions(ctx, link, opts)
+		fleet.Sweep(ctx, policy)
 	}
 	if got := transitions(transitionEnter); got != 2 {
 		t.Fatalf("enter transitions after relapse = %d, want 2", got)
@@ -150,7 +149,7 @@ func TestSweepStats(t *testing.T) {
 	fleet, _, _ := buildFleet(t, 3)
 	T := newFleetTelemetry()
 	fleet.Telemetry = T
-	rep := fleet.SweepWithOptions(context.Background(), DefaultLink(), DefaultSweepOptions())
+	rep := fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 3})
 	s := rep.Stats
 	if s.Attempts != 3 || s.Retries != 0 || s.Sessions != 3 {
 		t.Fatalf("stats = %+v, want 3 attempts, 0 retries, 3 sessions", s)
@@ -179,7 +178,7 @@ func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	rep := fleet.SweepWithOptions(ctx, DefaultLink(), DefaultSweepOptions())
+	rep := fleet.Sweep(ctx, RetryPolicy{MaxAttempts: 3})
 	if rep.Stats.Cancelled != 4 {
 		t.Fatalf("stats.Cancelled = %d, want 4", rep.Stats.Cancelled)
 	}
@@ -196,7 +195,7 @@ func TestSweepCancellation(t *testing.T) {
 	}
 
 	// The nodes were never given a chance: a live sweep finds them healthy.
-	rep = fleet.SweepWithOptions(context.Background(), DefaultLink(), DefaultSweepOptions())
+	rep = fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 3})
 	if len(rep.Healthy) != 4 {
 		t.Fatalf("post-cancel sweep healthy = %v, want all 4", rep.Healthy)
 	}

@@ -295,11 +295,10 @@ func TestFlightDumpCarriesSessionTrace(t *testing.T) {
 	inj.SetTelemetry(T)
 	fleet := NewFleet()
 	fleet.Telemetry = T
-	if err := fleet.Enroll(4, f.verifier, inj); err != nil {
+	if err := fleet.Enroll(4, f.verifier, inj, DefaultLink()); err != nil {
 		t.Fatal(err)
 	}
-	report := fleet.SweepWithOptions(context.Background(), DefaultLink(),
-		SweepOptions{Retry: RetryPolicy{MaxAttempts: 2}})
+	report := fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 2})
 	if len(report.Unreachable) != 1 {
 		t.Fatalf("report = %s, want node unreachable", report.String())
 	}
@@ -458,7 +457,7 @@ func TestAdminEndpointsRaceWithSweep(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			fleet.SweepWithOptions(context.Background(), DefaultLink(), DefaultSweepOptions())
+			fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 3})
 		}
 	}()
 	paths := []string{"/metrics", "/debug/vars", "/debug/traces", "/debug/journal", "/devices", "/healthz"}
