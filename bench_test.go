@@ -10,15 +10,12 @@ package pufatt
 
 import (
 	"bytes"
-	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
 
 	"pufatt/internal/attacks"
 	"pufatt/internal/attest"
-	"pufatt/internal/attest/cluster"
 	"pufatt/internal/bch"
 	"pufatt/internal/core"
 	crpstore "pufatt/internal/crp/store"
@@ -157,35 +154,24 @@ func protocolFixture(b *testing.B, params swatt.Params) (*attest.Prover, *attest
 	return prover, verifier, link
 }
 
+// BenchmarkAttestationProtocol times one honest in-process session at a
+// mid-size SWATT geometry, with the continuous profiler in each of its
+// steady states: "bare" (no profiler), "armed" (capture ring enabled and
+// the periodic ticker running at the default one-minute cadence — the
+// everyday production configuration, which must cost nothing between
+// captures) and "capturing" (a CPU profile actively sampling for the whole
+// run — the worst case inside the 250 ms capture window, which the default
+// duty cycle enters ~0.4% of the time). Compare each line's ns/op against
+// bare for the profiler's overhead in that state.
 func BenchmarkAttestationProtocol(b *testing.B) {
 	params := swatt.Params{MemWords: 1024, Chunks: 8, BlocksPerChunk: 8, PRG: swatt.PRGMix32}
-	prover, verifier, link := protocolFixture(b, params)
-	accepted := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := attest.RunSession(verifier, prover, link)
-		if err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, profile func(*telemetry.Profiler) (stop func())) {
+		prover, verifier, link := protocolFixture(b, params)
+		if profile != nil {
+			p := telemetry.NewProfiler()
+			p.SetDir(b.TempDir())
+			defer profile(p)()
 		}
-		if res.Accepted {
-			accepted++
-		}
-	}
-	b.ReportMetric(float64(accepted)/float64(b.N), "accept-rate")
-	b.ReportMetric(verifier.Delta()*1e3, "delta-ms")
-}
-
-// BenchmarkAttestationProtocolProfiled re-runs the protocol hot path with
-// the continuous profiler in its two steady states: "armed" (capture ring
-// enabled and the periodic ticker running at the default one-minute
-// cadence — the everyday production configuration, which must cost nothing
-// between captures) and "capturing" (a CPU profile actively sampling for
-// the whole run — the worst case inside the 250 ms capture window, which
-// the default duty cycle enters ~0.4% of the time). Compare ns/op against
-// BenchmarkAttestationProtocol for the overhead at each state.
-func BenchmarkAttestationProtocolProfiled(b *testing.B) {
-	params := swatt.Params{MemWords: 1024, Chunks: 8, BlocksPerChunk: 8, PRG: swatt.PRGMix32}
-	run := func(b *testing.B, prover *attest.Prover, verifier *attest.Verifier, link attest.Link) {
 		accepted := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -197,38 +183,39 @@ func BenchmarkAttestationProtocolProfiled(b *testing.B) {
 				accepted++
 			}
 		}
+		b.StopTimer()
 		b.ReportMetric(float64(accepted)/float64(b.N), "accept-rate")
+		if profile == nil {
+			b.ReportMetric(verifier.Delta()*1e3, "delta-ms")
+		}
 	}
+	b.Run("bare", func(b *testing.B) { run(b, nil) })
 	b.Run("armed", func(b *testing.B) {
-		prover, verifier, link := protocolFixture(b, params)
-		p := telemetry.NewProfiler()
-		p.SetDir(b.TempDir())
-		stop := p.Start(telemetry.DefaultProfileInterval)
-		defer stop()
-		run(b, prover, verifier, link)
+		run(b, func(p *telemetry.Profiler) func() {
+			return p.Start(telemetry.DefaultProfileInterval)
+		})
 	})
 	b.Run("capturing", func(b *testing.B) {
-		prover, verifier, link := protocolFixture(b, params)
-		p := telemetry.NewProfiler()
-		p.SetDir(b.TempDir())
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
+		run(b, func(p *telemetry.Profiler) func() {
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					_, _, _ = p.Capture("bench", telemetry.CaptureMeta{})
 				}
-				_, _, _ = p.Capture("bench", telemetry.CaptureMeta{})
+			}()
+			return func() {
+				close(done)
+				wg.Wait()
 			}
-		}()
-		run(b, prover, verifier, link)
-		b.StopTimer()
-		close(done)
-		wg.Wait()
+		})
 	})
 }
 
@@ -599,35 +586,6 @@ func BenchmarkSlenderAuthentication(b *testing.B) {
 }
 
 // --- microbenchmarks of the hot paths ---
-
-// BenchmarkBatchEval measures the parallel batch engine's throughput at
-// several worker counts over a fixed 256-challenge batch. The headline
-// custom metric is gate evaluations per second; on a multi-core host the
-// workers=4 line should run at least twice the workers=1 rate.
-func BenchmarkBatchEval(b *testing.B) {
-	d := core.MustNewDesign(core.DefaultConfig())
-	dev := core.MustNewDevice(d, rng.New(35), 0)
-	be := core.NewBatchEvaluator(dev)
-	const batch = 256
-	src := rng.New(36)
-	challenges := core.ChallengeMatrix(d, batch)
-	for k := range challenges {
-		d.ExpandChallengeInto(challenges[k], src.Uint64(), 0)
-	}
-	dst := be.ResponseMatrix(batch)
-	gatesPerBatch := float64(batch) * float64(len(d.Datapath().Net.Order))
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				be.RawResponses(challenges, dst, workers)
-			}
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(gatesPerBatch*float64(b.N)/s, "gate-evals/s")
-			}
-		})
-	}
-}
 
 // BenchmarkBitsliceEval pins the bitsliced engine's single-worker throughput
 // through the full batch pipeline (transpose, 64-lane levelized pass, delta
@@ -1049,47 +1007,5 @@ func BenchmarkEpochCutoverLatency(b *testing.B) {
 		if err := staged.Commit(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkClusterLoadSLO drives the distributed verifier tier at
-// increasing offered load and snapshots the SLO surface: session
-// throughput, p99 latency (admission queueing included), and the
-// reject_overload count. The 10k-prover level is the ISSUE's fleet-scale
-// acceptance point; each level re-runs the merged claim-log audit and
-// fails if it is not clean. Run with -benchtime 1x: one RunLoad per level
-// is the measurement (the fleet build dominates re-runs and the SLO
-// numbers come from the report, not ns/op).
-func BenchmarkClusterLoadSLO(b *testing.B) {
-	if os.Getenv("PUFATT_BENCH_CLUSTER") == "" {
-		b.Skip("load levels run in make bench's dedicated single-shot pass; set PUFATT_BENCH_CLUSTER=1 to run directly")
-	}
-	levels := []struct {
-		name             string
-		provers, devices int
-	}{
-		{"provers=1000", 1000, 128},
-		{"provers=5000", 5000, 256},
-		{"provers=10000", 10000, 512},
-	}
-	for _, lv := range levels {
-		b.Run(lv.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				report, err := cluster.RunLoad(cluster.LoadConfig{
-					Provers: lv.provers,
-					Devices: lv.devices,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !report.AuditClean {
-					b.Fatalf("claim-log audit not clean at %d provers", lv.provers)
-				}
-				b.ReportMetric(float64(report.Provers), "provers")
-				b.ReportMetric(report.P99Ms, "p99-ms")
-				b.ReportMetric(float64(report.Overloaded), "reject-overload")
-				b.ReportMetric(report.Throughput, "sessions/s")
-			}
-		})
 	}
 }

@@ -422,6 +422,72 @@ func TestClusterLeaderKillMidSweep(t *testing.T) {
 	}
 }
 
+// Several clients attesting the same device at once serialise on its
+// binding (verifier session state is single-writer, and the group's
+// active span is per device): every outcome is a classified verdict or
+// failure, and the merged audit holds exactly one frame per seed claimed.
+func TestClusterConcurrentClientsShareDevice(t *testing.T) {
+	c, err := New(Config{
+		Shards:       []string{"shard-0", "shard-1", "shard-2"},
+		Replicas:     3,
+		MaxInFlight:  8,
+		MaxQueue:     64,
+		AutoFailover: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const devices, clients, attempts = 6, 24, 3
+	// Enough seeds that every client of a device can burn its full retry
+	// budget without exhausting the group.
+	const seeds = clients/devices*attempts + 4
+	groups := make([]*Group, devices)
+	for id := range groups {
+		groups[id] = bindTestDevice(t, c, id, seeds)
+	}
+	policy := attest.RetryPolicy{MaxAttempts: attempts, JitterSeed: 1}
+
+	outcomes := make([]error, clients)
+	accepted := make([]bool, clients)
+	var wg sync.WaitGroup
+	for p := 0; p < clients; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			res, _, err := c.Attest(context.Background(), p%devices, policy)
+			outcomes[p], accepted[p] = err, err == nil && res.Accepted
+		}(p)
+	}
+	wg.Wait()
+
+	nAccepted := 0
+	for p, err := range outcomes {
+		switch {
+		case err == nil:
+			if accepted[p] {
+				nAccepted++
+			}
+		case IsOverload(err), attest.IsExhausted(err), attest.IsTransport(err):
+		default:
+			t.Fatalf("client %d: unclassified error %v", p, err)
+		}
+	}
+	if nAccepted == 0 {
+		t.Fatal("no session accepted on a clean link")
+	}
+	claimed := 0
+	for _, g := range groups {
+		claimed += seeds - g.Remaining()
+	}
+	audit := c.AuditClaims()
+	if !audit.Clean() {
+		t.Fatalf("audit violations: %v", audit.Violations)
+	}
+	if audit.Frames != claimed {
+		t.Fatalf("audit frames = %d, want %d (one per seed claimed)", audit.Frames, claimed)
+	}
+}
+
 // Overload is a verdict about capacity, not a transport fault: Attest must
 // surface it with zero protocol attempts and the retry machinery must
 // never classify it as retryable.

@@ -79,6 +79,14 @@ func (pc ProberConfig) withDefaults() ProberConfig {
 	return pc
 }
 
+// loadParams is the deliberately small SWATT geometry canary devices (and
+// the cluster tests' simulated fleets) run: big enough to exercise the full
+// protocol (checksum, helper recovery, timing bound), small enough that one
+// session costs well under a millisecond.
+func loadParams() swatt.Params {
+	return swatt.Params{MemWords: 512, Chunks: 2, BlocksPerChunk: 2, PRG: swatt.PRGMix32}
+}
+
 // canary is one shard's probe endpoint.
 type canary struct {
 	shard string
@@ -124,8 +132,7 @@ type Prober struct {
 
 // NewProber builds one canary endpoint per shard and attaches the prober
 // to the cluster (so AdminMux serves /probes). Canary devices are
-// simulated with the load engine's SWATT geometry — big enough for the
-// full protocol, cheap enough that probing is negligible load.
+// simulated with loadParams' geometry, so probing is negligible load.
 func NewProber(c *Cluster, cfg ProberConfig) (*Prober, error) {
 	cfg = cfg.withDefaults()
 	design := core.MustNewDesign(core.DefaultConfig())

@@ -3,11 +3,12 @@
 #
 # Runs the tier-1 commands (build + full test suite), static vetting, vet
 # and tests of the nested bench module (so a change to an exported API it
-# calls fails here), and one race-detected run over every package that
-# runs work on goroutines: the attestation stack (fault injection, retry,
-# fleet and cluster sweeps, failover, admission, shutdown), telemetry,
-# the claim ledgers, the parallel batch engines, the attacks' parallel
-# training, and the dashboard.
+# calls fails here), one iteration of every root bench (so the paper-figure
+# and ablation regenerators keep running), and one race-detected run over
+# every package that runs work on goroutines: the attestation stack (fault
+# injection, retry, fleet and cluster sweeps, failover, admission,
+# shutdown), telemetry, the claim ledgers, the parallel batch engines, the
+# attacks' parallel training, and the dashboard.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,6 +35,9 @@ go test ./...
 
 echo "== bench module: go vet + go test (a nested module root ./... never builds)"
 (cd bench && go vet ./... && go test ./...)
+
+echo "== root benches, one iteration each (paper figures, ablations, microbenchmarks)"
+go test -run '^$' -bench . -benchtime 1x .
 
 echo "== go test -race (attestation, telemetry, claim ledgers, batch engines, attacks, dashboard)"
 go test -race $RACE_PKGS
