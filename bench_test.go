@@ -149,6 +149,9 @@ func protocolFixture(b *testing.B, params swatt.Params) (*attest.Prover, *attest
 	if err != nil {
 		b.Fatal(err)
 	}
+	// A seeded challenge stream: session i of a fresh fixture always draws
+	// the same nonce and PUF seed, so a rejected session can be replayed.
+	verifier.Nonces = rng.New(15).Uint32
 	link := attest.DefaultLink()
 	verifier.AllowNetwork(link)
 	return prover, verifier, link
@@ -172,7 +175,11 @@ func BenchmarkAttestationProtocol(b *testing.B) {
 			p.SetDir(b.TempDir())
 			defer profile(p)()
 		}
-		accepted := 0
+		// Keep the current session's two challenge words for the log line
+		// naming the first honest reject.
+		draw, words, k := verifier.Nonces, [2]uint32{}, 0
+		verifier.Nonces = func() uint32 { w := draw(); words[k&1] = w; k++; return w }
+		accepted, logged := 0, false
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			res, err := attest.RunSession(verifier, prover, link)
@@ -181,6 +188,10 @@ func BenchmarkAttestationProtocol(b *testing.B) {
 			}
 			if res.Accepted {
 				accepted++
+			} else if !logged {
+				logged = true
+				b.Logf("first honest reject: session index %d of a fresh protocolFixture, nonce %#08x, PUF seed %#08x: %s",
+					i, words[0], words[1], res.Reason)
 			}
 		}
 		b.StopTimer()

@@ -1,12 +1,21 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"pufatt/internal/attest"
+	"pufatt/internal/attest/cluster"
+	"pufatt/internal/core"
+	"pufatt/internal/mcu"
+	"pufatt/internal/rng"
+	"pufatt/internal/swatt"
+	"pufatt/internal/telemetry"
 )
 
 func TestSparkline(t *testing.T) {
@@ -308,5 +317,104 @@ func TestFetchSnapshotUnreachable(t *testing.T) {
 	snap := fetchSnapshot(client, "http://127.0.0.1:1", time.Unix(0, 0))
 	if len(snap.Errs) != 4 {
 		t.Fatalf("want 4 per-endpoint errors, got %d: %v", len(snap.Errs), snap.Errs)
+	}
+}
+
+// TestFetchSnapshotLiveProducers reads the real producers rather than
+// hand-typed bodies: a live attest.AdminMux after a few sessions and one
+// fleet observation, a cluster.AdminMux with a canary prober, and a
+// Federator over both. Every surface must decode, and the fields the
+// panels render must arrive filled in.
+func TestFetchSnapshotLiveProducers(t *testing.T) {
+	dev := core.MustNewDevice(core.MustNewDesign(core.DefaultConfig()), rng.New(5), 0)
+	port := mcu.MustNewDevicePort(dev)
+	image, err := swatt.BuildImage(swatt.Params{MemWords: 1024, Chunks: 4, BlocksPerChunk: 2, PRG: swatt.PRGMix32}, make([]uint32, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prover := attest.NewProver(image.Clone(), port, 1)
+	prover.TuneClock(0.98)
+	v, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Nonces = rng.New(6).Uint32
+	v.Device = "node-0"
+	tel := attest.NewTelemetry(telemetry.NewRegistry(), telemetry.NewTracer(32))
+	for i := 0; i < 4; i++ {
+		if _, _, err := tel.RunSessionRetry(context.Background(), v, prover, attest.DefaultLink(), attest.RetryPolicy{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tel.ObserveFleet()
+	verifier := httptest.NewServer(attest.AdminMux(tel))
+	defer verifier.Close()
+
+	c, err := cluster.New(cluster.Config{Shards: []string{"shard-0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prober, err := cluster.NewProber(c, cluster.ProberConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prober.ProbeAll(context.Background())
+	clustered := httptest.NewServer(cluster.AdminMux(c, tel))
+	defer clustered.Close()
+
+	fed, err := telemetry.NewFederator([]telemetry.ScrapeSource{
+		{Name: "verifier", BaseURL: verifier.URL}, {Name: "cluster", BaseURL: clustered.URL},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fed.Poll(context.Background()); n != 2 {
+		t.Fatalf("federator: %d clean scrapes, want 2: %+v", n, fed.Scrapes())
+	}
+	federated := httptest.NewServer(fed.Mux())
+	defer federated.Close()
+
+	for _, tc := range []struct {
+		name   string
+		base   string
+		probes int
+	}{
+		{"attest", verifier.URL, 0},
+		{"cluster", clustered.URL, 1},
+		{"federator", federated.URL, 1},
+	} {
+		snap := fetchSnapshot(http.DefaultClient, tc.base, time.Now())
+		if len(snap.Errs) != 0 {
+			t.Errorf("%s: fetch errors %v", tc.name, snap.Errs)
+			continue
+		}
+		if snap.Health.Status != "ok" || len(snap.Devices) == 0 {
+			t.Errorf("%s: health %+v, %d devices", tc.name, snap.Health, len(snap.Devices))
+		}
+		for _, d := range snap.Devices {
+			if d.Device != "node-0" || d.Status != "ok" || d.Sessions != 4 || d.RTTP95 <= 0 {
+				t.Errorf("%s: device %+v, want node-0 ok over 4 sessions with an RTT p95", tc.name, d)
+			}
+		}
+		if len(snap.Alerts) == 0 {
+			t.Errorf("%s: no alerts", tc.name)
+		}
+		for _, a := range snap.Alerts {
+			if a.Name == "" || a.State == "" {
+				t.Errorf("%s: alert without a name or state: %+v", tc.name, a)
+			}
+		}
+		exemplar := ""
+		for _, s := range snap.History.Series {
+			if s.Name == "attest_rtt_seconds" {
+				exemplar = lastExemplar(s)
+			}
+		}
+		if len(exemplar) != 16 {
+			t.Errorf("%s: attest_rtt_seconds history exemplar %q, want a trace ID", tc.name, exemplar)
+		}
+		if len(snap.Probes) != tc.probes || snap.HasProbes != (tc.probes > 0) {
+			t.Errorf("%s: probes %+v (has %v), want %d", tc.name, snap.Probes, snap.HasProbes, tc.probes)
+		}
 	}
 }

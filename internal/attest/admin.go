@@ -17,25 +17,6 @@ import (
 // StartAdmin is called — and is meant for a loopback or management network,
 // not the attestation data path.
 
-// adminContentJSON is the Content-Type of every JSON admin route.
-const adminContentJSON = "application/json; charset=utf-8"
-
-// adminGet wraps an admin handler: GET and HEAD pass with the given
-// Content-Type set up front; every other method is 405 with an Allow
-// header. The admin surface is read-only by construction — a mutating verb
-// reaching it is a client bug worth a loud, typed answer.
-func adminGet(contentType string, fn func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", contentType)
-		fn(w, r)
-	}
-}
-
 // AdminMux returns an http.ServeMux serving the telemetry admin surface:
 //
 //	/metrics          Prometheus text exposition (format 0.0.4)
@@ -52,38 +33,43 @@ func adminGet(contentType string, fn func(http.ResponseWriter, *http.Request)) h
 //	                  suspect, 200 otherwise
 //	/debug/pprof/     the standard runtime profiler endpoints
 //
-// All telemetry routes are GET/HEAD only (405 otherwise). A nil Telemetry
-// means the package default (the one the attestation hot paths record
-// into).
+// Every JSON body is encoding/json of the named telemetry value
+// (AlertStatus, DeviceHealth, Event, Span, Series, ProfileCapture, the
+// Registry's Vars), one line per body; NaN and ±Inf encode as null. All
+// routes are GET/HEAD only (405 otherwise). A nil Telemetry means the
+// package default (the one the attestation hot paths record into).
 func AdminMux(t *Telemetry) *http.ServeMux {
 	if t == nil {
 		t = tel
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", adminGet("text/plain; version=0.0.4; charset=utf-8", func(w http.ResponseWriter, _ *http.Request) {
+	serve := func(path string, fn http.HandlerFunc) {
+		mux.HandleFunc(path, telemetry.GetOnly(telemetry.ContentJSON, fn))
+	}
+	mux.HandleFunc("/metrics", telemetry.GetOnly("text/plain; version=0.0.4; charset=utf-8", func(w http.ResponseWriter, _ *http.Request) {
 		_ = t.Registry.WritePrometheus(w)
 	}))
-	mux.HandleFunc("/metrics/history", adminGet(adminContentJSON, func(w http.ResponseWriter, r *http.Request) {
+	serve("/metrics/history", func(w http.ResponseWriter, r *http.Request) {
 		q, err := telemetry.ParseRangeQuery(r.URL.Query())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		_ = t.History.WriteJSON(w, q)
-	}))
-	mux.HandleFunc("/alerts", adminGet(adminContentJSON, func(w http.ResponseWriter, _ *http.Request) {
-		_ = t.Alerts.WriteJSON(w)
-	}))
-	mux.HandleFunc("/debug/vars", adminGet(adminContentJSON, func(w http.ResponseWriter, _ *http.Request) {
-		_ = t.Registry.WriteJSON(w)
-	}))
-	mux.HandleFunc("/debug/traces", adminGet(adminContentJSON, func(w http.ResponseWriter, _ *http.Request) {
-		_ = t.Tracer.WriteJSON(w)
-	}))
-	mux.HandleFunc("/debug/journal", adminGet(adminContentJSON, func(w http.ResponseWriter, _ *http.Request) {
-		_ = t.Journal.WriteJSON(w)
-	}))
-	mux.HandleFunc("/debug/profiles", adminGet(adminContentJSON, func(w http.ResponseWriter, r *http.Request) {
+		_ = telemetry.WriteJSON(w, t.History.History(q))
+	})
+	serve("/alerts", func(w http.ResponseWriter, _ *http.Request) {
+		_ = telemetry.WriteJSON(w, t.Alerts.Snapshot())
+	})
+	serve("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
+		_ = telemetry.WriteJSON(w, t.Registry.Vars())
+	})
+	serve("/debug/traces", func(w http.ResponseWriter, _ *http.Request) {
+		_ = telemetry.WriteJSON(w, t.Tracer.Recent())
+	})
+	serve("/debug/journal", func(w http.ResponseWriter, _ *http.Request) {
+		_ = telemetry.WriteJSON(w, t.Journal.Recent())
+	})
+	serve("/debug/profiles", func(w http.ResponseWriter, r *http.Request) {
 		limit := 0
 		if raw := r.URL.Query().Get("n"); raw != "" {
 			n, err := strconv.Atoi(raw)
@@ -93,12 +79,12 @@ func AdminMux(t *Telemetry) *http.ServeMux {
 			}
 			limit = n
 		}
-		_ = t.Profiler.WriteJSON(w, limit)
-	}))
-	mux.HandleFunc("/devices", adminGet(adminContentJSON, func(w http.ResponseWriter, _ *http.Request) {
-		_ = t.Health.WriteJSON(w)
-	}))
-	mux.HandleFunc("/healthz", adminGet(adminContentJSON, func(w http.ResponseWriter, _ *http.Request) {
+		_ = telemetry.WriteJSON(w, t.Profiler.Recent(limit))
+	})
+	serve("/devices", func(w http.ResponseWriter, _ *http.Request) {
+		_ = telemetry.WriteJSON(w, t.Health.Snapshot())
+	})
+	serve("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		sum := t.Health.Summary()
 		// A suspect device is a security signal: fail the health check so
 		// orchestration-level alerting fires without parsing the body.
@@ -107,9 +93,11 @@ func AdminMux(t *Telemetry) *http.ServeMux {
 		if sum.Status() == telemetry.StatusSuspect {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
-		fmt.Fprintf(w, `{"status": %q, "devices": %d, "ok": %d, "degraded": %d, "awaiting_reenroll": %d, "suspect": %d}`+"\n",
-			sum.Status().String(), sum.Devices, sum.OK, sum.Degraded, sum.AwaitingReenroll, sum.Suspect)
-	}))
+		_ = telemetry.WriteJSON(w, struct {
+			Status string `json:"status"`
+			telemetry.HealthSummary
+		}{sum.Status().String(), sum})
+	})
 	// pprof registers on http.DefaultServeMux via init; re-register its
 	// handlers explicitly so the admin endpoint works on a private mux
 	// without dragging DefaultServeMux (and whatever else registered

@@ -3,8 +3,10 @@ package attest
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -25,13 +27,56 @@ var adminJSONRoutes = []string{
 	"/debug/journal", "/debug/profiles", "/devices", "/healthz",
 }
 
+// glitchAgent fails its first fails exchanges with err, then answers
+// through the wrapped prover.
+type glitchAgent struct {
+	ProverAgent
+	fails int
+	err   error
+}
+
+func (a *glitchAgent) Respond(ch Challenge) (Response, float64, error) {
+	if a.fails > 0 {
+		a.fails--
+		return Response{}, 0, a.err
+	}
+	return a.ProverAgent.Respond(ch)
+}
+
+// TestAdminRouteMethodsAndContentTypes runs the route contract twice: once
+// for a plain device name and once for one carrying control bytes and
+// invalid UTF-8, which every JSON body and flight-dump line must still
+// encode as valid JSON.
 func TestAdminRouteMethodsAndContentTypes(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { testAdminRoutes(t, "node-e2e") })
+	t.Run("control-bytes", func(t *testing.T) { testAdminRoutes(t, "node\x01\a\xff") })
+}
+
+func testAdminRoutes(t *testing.T, device string) {
 	o := newObsFixture(t, 61)
+	o.verifier.Device = device
+	o.tel.Registry.Histogram("admin_test_empty_seconds", "never observed", nil)
+	o.tel.Registry.Gauge("admin_test_nan", "not a number").Set(math.NaN())
 	o.sessions(t, o.prover, 3)
+	// One session retried past a transport fault whose message carries
+	// control bytes (the span's error attribute and the journal's retry
+	// detail), one journal detail with raw control bytes, and one session
+	// that exhausts its attempt, so a flight dump holds all of them.
+	glitch := Transport(errors.New("link glitch \x01\a"))
+	agent := &glitchAgent{ProverAgent: o.prover, fails: 1, err: glitch}
+	if _, attempts, err := o.tel.RunSessionRetry(context.Background(), o.verifier, agent, DefaultLink(), RetryPolicy{MaxAttempts: 2}); err != nil || attempts != 2 {
+		t.Fatalf("retried session: attempts=%d err=%v, want success on attempt 2", attempts, err)
+	}
+	o.tel.Journal.Append(telemetry.Event{Kind: telemetry.EventFaultInjected, Device: device, Detail: "glitch \x01\a\xff"})
+	agent = &glitchAgent{ProverAgent: o.prover, fails: 1, err: glitch}
+	if _, _, err := o.tel.RunSessionRetry(context.Background(), o.verifier, agent, DefaultLink(), RetryPolicy{}); !IsTransport(err) {
+		t.Fatalf("exhausted session: err=%v, want a transport error", err)
+	}
 	o.tick()
 	srv := httptest.NewServer(AdminMux(o.tel))
 	defer srv.Close()
 	client := srv.Client()
+	bodies := map[string][]byte{}
 
 	for _, path := range append([]string{"/metrics"}, adminJSONRoutes...) {
 		// GET succeeds with the declared Content-Type.
@@ -56,6 +101,7 @@ func TestAdminRouteMethodsAndContentTypes(t *testing.T) {
 			if err := json.Unmarshal(body, &v); err != nil {
 				t.Errorf("GET %s: body is not JSON: %v\n%s", path, err, body)
 			}
+			bodies[path] = body
 		}
 
 		// HEAD passes the method gate too.
@@ -95,6 +141,74 @@ func TestAdminRouteMethodsAndContentTypes(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("GET %s: status %d, want 400", path, resp.StatusCode)
 		}
+	}
+
+	// The device name decodes to what encoding/json makes of it (invalid
+	// UTF-8 becomes U+FFFD); the span's error attribute keeps its bytes.
+	var wantDevice string
+	if raw, err := json.Marshal(device); err != nil || json.Unmarshal(raw, &wantDevice) != nil {
+		t.Fatalf("round-trip device name: %v", err)
+	}
+	var devices []struct {
+		Device string `json:"device"`
+	}
+	if err := json.Unmarshal(bodies["/devices"], &devices); err != nil || len(devices) != 1 || devices[0].Device != wantDevice {
+		t.Errorf("/devices = %s (err=%v), want the one device %q", bodies["/devices"], err, wantDevice)
+	}
+	var traces []struct {
+		Attrs map[string]string `json:"attrs"`
+	}
+	if err := json.Unmarshal(bodies["/debug/traces"], &traces); err != nil {
+		t.Fatal(err)
+	}
+	spanErrs := 0
+	for _, tr := range traces {
+		if tr.Attrs["error"] == glitch.Error() {
+			spanErrs++
+		}
+	}
+	if spanErrs != 2 {
+		t.Errorf("/debug/traces: %d spans carry error %q, want 2", spanErrs, glitch.Error())
+	}
+
+	// An empty histogram's quantiles and a NaN gauge are null.
+	var vars map[string]any
+	if err := json.Unmarshal(bodies["/debug/vars"], &vars); err != nil {
+		t.Fatal(err)
+	}
+	empty, _ := vars["admin_test_empty_seconds"].(map[string]any)
+	if nan, ok := vars["admin_test_nan"]; !ok || nan != nil || empty == nil || empty["count"] != 0.0 || empty["p50"] != nil || empty["p99"] != nil {
+		t.Errorf("/debug/vars: NaN gauge = %v (present %v), empty histogram = %v; want null, null quantiles", nan, ok, empty)
+	}
+
+	// Every line of the fixture's flight dumps is JSON.
+	dumps, err := filepath.Glob(filepath.Join(o.dir, "flight-*.jsonl"))
+	if err != nil || len(dumps) == 0 {
+		t.Fatalf("flight dumps: %v (err=%v), want at least one", dumps, err)
+	}
+	for _, d := range dumps {
+		raw, err := os.ReadFile(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+			var v map[string]any
+			if err := json.Unmarshal([]byte(line), &v); err != nil {
+				t.Errorf("%s line %d is not JSON: %v\n%s", filepath.Base(d), i+1, err, line)
+			}
+		}
+	}
+
+	// A federator scraping this admin server records no failures.
+	fed, err := telemetry.NewFederator([]telemetry.ScrapeSource{{Name: "solo", BaseURL: srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fed.Poll(context.Background()); n != 1 {
+		t.Errorf("federator: %d clean scrapes, want 1: %+v", n, fed.Scrapes())
+	}
+	if st := fed.Scrapes(); len(st) != 1 || st[0].Failures != 0 {
+		t.Errorf("federator scrape health = %+v, want zero failures", st)
 	}
 }
 
@@ -238,17 +352,17 @@ func TestFlightDumpsBounded(t *testing.T) {
 		if err != nil || len(dumps) > maxFlightDumps {
 			t.Fatalf("sweep %d: %d dumps on disk (err=%v), want at most %d", i+1, len(dumps), err, maxFlightDumps)
 		}
-		listed, err := flightDumps(dir)
+		listed, err := flightFiles.List(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := listed[len(listed)-1].seq
+		last := listed[len(listed)-1].Seq
 		if last <= newest {
 			t.Fatalf("sweep %d: newest dump seq %d, want a new dump past %d", i+1, last, newest)
 		}
 		newest = last
 	}
-	if listed, _ := flightDumps(dir); len(listed) != maxFlightDumps {
+	if listed, _ := flightFiles.List(dir); len(listed) != maxFlightDumps {
 		t.Fatalf("dumps after the storm = %d, want %d", len(listed), maxFlightDumps)
 	}
 	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("flight-%d-transport.jsonl", leftover))); !os.IsNotExist(err) {

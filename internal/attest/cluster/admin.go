@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
 	"pufatt/internal/attest"
+	"pufatt/internal/telemetry"
 )
 
 // AdminMux extends the attestation admin surface (attest.AdminMux: metrics,
@@ -23,17 +23,20 @@ import (
 // live).
 func AdminMux(c *Cluster, t *attest.Telemetry) *http.ServeMux {
 	mux := attest.AdminMux(t)
-	mux.HandleFunc("/ring", adminGet(func(w http.ResponseWriter, _ *http.Request) {
+	serve := func(path string, fn http.HandlerFunc) {
+		mux.HandleFunc(path, telemetry.GetOnly(telemetry.ContentJSON, fn))
+	}
+	serve("/ring", func(w http.ResponseWriter, _ *http.Request) {
 		snap := c.ring.Snapshot()
 		for i := range snap.Shards {
 			snap.Shards[i].Alive = c.shardAlive(snap.Shards[i].Shard)
 		}
-		writeJSON(w, snap)
-	}))
-	mux.HandleFunc("/cluster", adminGet(func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, c.Snapshot())
-	}))
-	mux.HandleFunc("/probes", adminGet(func(w http.ResponseWriter, r *http.Request) {
+		_ = telemetry.WriteJSON(w, snap)
+	})
+	serve("/cluster", func(w http.ResponseWriter, _ *http.Request) {
+		_ = telemetry.WriteJSON(w, c.Snapshot())
+	})
+	serve("/probes", func(w http.ResponseWriter, r *http.Request) {
 		var statuses []ProbeStatus
 		if p := c.Prober(); p != nil {
 			statuses = p.Status()
@@ -56,29 +59,9 @@ func AdminMux(c *Cluster, t *attest.Telemetry) *http.ServeMux {
 			// body as a list unconditionally.
 			statuses = []ProbeStatus{}
 		}
-		writeJSON(w, statuses)
-	}))
+		_ = telemetry.WriteJSON(w, statuses)
+	})
 	return mux
-}
-
-// adminGet mirrors the attest admin surface's read-only discipline: GET
-// and HEAD pass, everything else is 405 with an Allow header.
-func adminGet(fn func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fn(w, r)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // GroupStatus is one device's row in the /cluster view.

@@ -3,13 +3,8 @@ package attest
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 
 	"pufatt/internal/telemetry"
 )
@@ -40,21 +35,16 @@ func (t *Telemetry) FlightDir() string {
 	return t.flightDir
 }
 
-// flightMu serialises dumps process-wide, and flightSeq is the dump
-// sequence it guards. The sequence used to live per Telemetry bundle,
-// which let two bundles pointed at the same directory (one fleet's sweeps
-// plus one server's sessions, say) both write flight-0001-*.jsonl and
-// silently clobber each other's post-mortems; a single counter makes every
-// dump filename in the process unique.
-var (
-	flightMu  sync.Mutex
-	flightSeq uint64
-)
-
 // maxFlightDumps bounds the dumps kept in a flight directory: a
 // transport-fault storm across a swept fleet fails one session per node
 // per sweep, and each failure would otherwise leave a file forever.
 const maxFlightDumps = 32
+
+// flightFiles is the process-wide dump ring. One ring for every Telemetry
+// bundle: two bundles pointed at the same directory (one fleet's sweeps
+// plus one server's sessions, say) draw from one sequence and never
+// clobber each other's post-mortems.
+var flightFiles = telemetry.NewFileRing("flight-", ".jsonl", maxFlightDumps)
 
 // flightDump snapshots the journal to <dir>/flight-<seq>-<trigger>.jsonl,
 // returning the path ("" when dumping is disabled), and then deletes the
@@ -74,58 +64,22 @@ func (t *Telemetry) flightDump(trigger string, trace telemetry.TraceID) (string,
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("attest: flight dump: %w", err)
 	}
-
-	flightMu.Lock()
-	defer flightMu.Unlock()
-	old, perr := flightDumps(dir)
-	if n := len(old); n > 0 && old[n-1].seq > flightSeq {
-		flightSeq = old[n-1].seq
-	}
-	flightSeq++
-	path := filepath.Join(dir, fmt.Sprintf("flight-%04d-%s.jsonl", flightSeq, trigger))
-	f, err := os.Create(path)
-	if err != nil {
-		return "", fmt.Errorf("attest: flight dump: %w", err)
-	}
-	header := trigger
-	if trace != 0 {
-		header = fmt.Sprintf("%s trace=%s", trigger, trace)
-	}
-	werr := t.Journal.Snapshot(f, header)
-	cerr := f.Close()
-	// Keep the newest maxFlightDumps, the one just written included.
-	for _, d := range old[:max(0, len(old)+1-maxFlightDumps)] {
-		if err := os.Remove(d.path); err != nil && !errors.Is(err, fs.ErrNotExist) && perr == nil {
-			perr = err
+	var path string
+	err := flightFiles.Write(dir, func(seq uint64) error {
+		p := filepath.Join(dir, fmt.Sprintf("flight-%04d-%s.jsonl", seq, trigger))
+		f, err := os.Create(p)
+		if err != nil {
+			return err
 		}
-	}
-	if err := errors.Join(werr, cerr, perr); err != nil {
+		path = p
+		header := trigger
+		if trace != 0 {
+			header = fmt.Sprintf("%s trace=%s", trigger, trace)
+		}
+		return errors.Join(t.Journal.Snapshot(f, header), f.Close())
+	})
+	if err != nil {
 		return path, fmt.Errorf("attest: flight dump: %w", err)
 	}
 	return path, nil
-}
-
-// flightDumpFile is one flight-<seq>-<trigger>.jsonl file in a directory.
-type flightDumpFile struct {
-	seq  uint64
-	path string
-}
-
-// flightDumps lists dir's flight dumps, oldest (lowest sequence) first.
-// Files that do not match the dump name pattern are not listed.
-func flightDumps(dir string) ([]flightDumpFile, error) {
-	entries, err := os.ReadDir(dir)
-	var dumps []flightDumpFile
-	for _, e := range entries {
-		rest, ok := strings.CutPrefix(e.Name(), "flight-")
-		num, _, cut := strings.Cut(rest, "-")
-		if !ok || !cut || !strings.HasSuffix(rest, ".jsonl") {
-			continue
-		}
-		if seq, perr := strconv.ParseUint(num, 10, 64); perr == nil {
-			dumps = append(dumps, flightDumpFile{seq: seq, path: filepath.Join(dir, e.Name())})
-		}
-	}
-	sort.Slice(dumps, func(i, j int) bool { return dumps[i].seq < dumps[j].seq })
-	return dumps, err
 }

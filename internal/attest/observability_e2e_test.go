@@ -2,6 +2,7 @@ package attest
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -197,18 +198,44 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	// The admin surface serves the same story over HTTP.
 	srv := httptest.NewServer(AdminMux(o.tel))
 	defer srv.Close()
-	for path, want := range map[string]string{
-		"/metrics/history?metric=attest_rtt_seconds": `"exemplar": "` + exemplar.String() + `"`,
-		"/alerts": `"name": "rtt-p95-burn", "state": "firing"`,
-	} {
+	get := func(path string, v any) {
 		resp, gerr := http.Get(srv.URL + path)
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
 		body := readAll(t, resp)
-		if !strings.Contains(body, want) {
-			t.Fatalf("%s missing %q:\n%s", path, want, body)
+		if err := json.Unmarshal([]byte(body), v); err != nil {
+			t.Fatalf("%s: %v\n%s", path, err, body)
 		}
+	}
+	var hist struct {
+		Series []struct {
+			Points []struct {
+				Exemplar string `json:"exemplar"`
+			} `json:"points"`
+		} `json:"series"`
+	}
+	get("/metrics/history?metric=attest_rtt_seconds", &hist)
+	served := false
+	for _, s := range hist.Series {
+		for _, p := range s.Points {
+			served = served || p.Exemplar == exemplar.String()
+		}
+	}
+	if !served {
+		t.Fatalf("/metrics/history carries no exemplar %s: %+v", exemplar, hist)
+	}
+	var alerts []struct {
+		Name  string `json:"name"`
+		State string `json:"state"`
+	}
+	get("/alerts", &alerts)
+	shown := false
+	for _, a := range alerts {
+		shown = shown || (a.Name == "rtt-p95-burn" && a.State == "firing")
+	}
+	if !shown {
+		t.Fatalf("/alerts does not show rtt-p95-burn firing: %+v", alerts)
 	}
 
 	// Phase 3 — the link heals: once the bad points age out of the slow

@@ -2,9 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -350,35 +347,29 @@ func (m *AlertManager) Snapshot() []AlertStatus {
 	return out
 }
 
-// WriteJSON renders every alert's status as a JSON array — the /alerts
-// endpoint body.
-func (m *AlertManager) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("[")
-	for i, a := range m.Snapshot() {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-		fmt.Fprintf(&b, `{"name": %s, "state": %q, "kind": %q, "metric": %s`,
-			strconv.Quote(a.Rule.Name), a.State.String(), a.Rule.Kind.String(), strconv.Quote(a.Rule.Metric))
-		fmt.Fprintf(&b, `, "fast_window_seconds": %s, "slow_window_seconds": %s, "burn_bound": %s, "budget": %s`,
-			jsonNumber(a.Rule.FastWindow.Seconds()), jsonNumber(a.Rule.SlowWindow.Seconds()),
-			jsonNumber(a.Rule.burnBound()), jsonNumber(a.Rule.budget()))
-		fmt.Fprintf(&b, `, "fast_burn": %s, "slow_burn": %s, "fired": %d`,
-			jsonNumber(a.FastBurn), jsonNumber(a.SlowBurn), a.Fired)
-		if !a.Since.IsZero() {
-			fmt.Fprintf(&b, `, "since_unix_ns": %d`, a.Since.UnixNano())
-		}
-		if !a.LastFired.IsZero() {
-			fmt.Fprintf(&b, `, "last_fired_unix_ns": %d`, a.LastFired.UnixNano())
-		}
-		if !a.LastResolved.IsZero() {
-			fmt.Fprintf(&b, `, "last_resolved_unix_ns": %d`, a.LastResolved.UnixNano())
-		}
-		b.WriteString("}")
-	}
-	b.WriteString("\n]\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+// MarshalJSON renders the status as one /alerts record. Burn rates with
+// no evaluated data are null; timestamps never set are omitted.
+func (a AlertStatus) MarshalJSON() ([]byte, error) {
+	return marshal(struct {
+		Name         string    `json:"name"`
+		State        string    `json:"state"`
+		Kind         string    `json:"kind"`
+		Metric       string    `json:"metric"`
+		FastWindow   jsonFloat `json:"fast_window_seconds"`
+		SlowWindow   jsonFloat `json:"slow_window_seconds"`
+		BurnBound    jsonFloat `json:"burn_bound"`
+		Budget       jsonFloat `json:"budget"`
+		FastBurn     jsonFloat `json:"fast_burn"`
+		SlowBurn     jsonFloat `json:"slow_burn"`
+		Fired        uint64    `json:"fired"`
+		Since        *int64    `json:"since_unix_ns,omitempty"`
+		LastFired    *int64    `json:"last_fired_unix_ns,omitempty"`
+		LastResolved *int64    `json:"last_resolved_unix_ns,omitempty"`
+	}{
+		a.Rule.Name, a.State.String(), a.Rule.Kind.String(), a.Rule.Metric,
+		jsonFloat(a.Rule.FastWindow.Seconds()), jsonFloat(a.Rule.SlowWindow.Seconds()),
+		jsonFloat(a.Rule.burnBound()), jsonFloat(a.Rule.budget()),
+		jsonFloat(a.FastBurn), jsonFloat(a.SlowBurn), a.Fired,
+		unixNs(a.Since), unixNs(a.LastFired), unixNs(a.LastResolved),
+	})
 }

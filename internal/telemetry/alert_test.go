@@ -279,7 +279,7 @@ func TestAlertWriteJSON(t *testing.T) {
 	f.tick()
 
 	var b strings.Builder
-	if err := f.mgr.WriteJSON(&b); err != nil {
+	if err := WriteJSON(&b, f.mgr.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var doc []struct {

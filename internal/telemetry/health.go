@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -85,8 +83,8 @@ type SLO struct {
 	// MaxFailureRate bounds the windowed rejected/completed fraction.
 	MaxFailureRate float64
 	// MaxFNR bounds the response-quality drift estimate (EWMA of
-	// false-negative-shaped rejections, or directly observed quality
-	// samples) — the paper's aging/temperature axis.
+	// false-negative-shaped rejections) — the paper's aging/temperature
+	// axis.
 	MaxFNR float64
 
 	// Degraded thresholds (availability).
@@ -362,25 +360,6 @@ func (h *HealthRegistry) Observe(device string, obs SessionObservation) {
 	h.rederive(device, d)
 }
 
-// ObserveQuality feeds a directly measured response-quality sample (a
-// per-session FNR estimate, e.g. an ECC corrected-bit fraction) into the
-// device's drift EWMA — for callers with a finer signal than the
-// rejection stream.
-func (h *HealthRegistry) ObserveQuality(device string, fnr float64) {
-	if device == "" {
-		return
-	}
-	h.mu.Lock()
-	d := h.device(device)
-	alpha := 2.0 / float64(len(d.window)+1)
-	if !d.fnrSeeded {
-		d.fnrEst, d.fnrSeeded = fnr, true
-	} else {
-		d.fnrEst += alpha * (fnr - d.fnrEst)
-	}
-	h.rederive(device, d)
-}
-
 // SetBudgetLowGauge mirrors the number of devices at or below the
 // seed-budget watermark into a registry gauge (nil detaches). The
 // registry cannot self-register metrics, so the owning bundle attaches
@@ -636,11 +615,11 @@ func (h *HealthRegistry) Snapshot() []DeviceHealth {
 
 // HealthSummary aggregates the fleet's statuses.
 type HealthSummary struct {
-	Devices          int
-	OK               int
-	Degraded         int
-	AwaitingReenroll int
-	Suspect          int
+	Devices          int `json:"devices"`
+	OK               int `json:"ok"`
+	Degraded         int `json:"degraded"`
+	AwaitingReenroll int `json:"awaiting_reenroll"`
+	Suspect          int `json:"suspect"`
 }
 
 // Status reports the fleet-wide worst status.
@@ -675,54 +654,50 @@ func (h *HealthRegistry) Summary() HealthSummary {
 	return sum
 }
 
-// WriteJSON renders every device's health snapshot as a JSON array, sorted
-// by device id.
-func (h *HealthRegistry) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("[")
-	for i, d := range h.Snapshot() {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-		writeDeviceJSON(&b, d)
-	}
-	b.WriteString("\n]\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+// MarshalJSON renders the snapshot as one /devices record. RTT quantiles
+// before any completed session are null; reasons and transitions are
+// omitted when empty.
+func (d DeviceHealth) MarshalJSON() ([]byte, error) {
+	return marshal(struct {
+		Device          string       `json:"device"`
+		Status          string       `json:"status"`
+		Reasons         []string     `json:"reasons,omitempty"`
+		Sessions        uint64       `json:"sessions"`
+		Accepted        uint64       `json:"accepted"`
+		Rejected        uint64       `json:"rejected"`
+		Transport       uint64       `json:"transport_failures"`
+		WindowRecords   int          `json:"window_records"`
+		FailureRate     jsonFloat    `json:"failure_rate"`
+		TransportRate   jsonFloat    `json:"transport_rate"`
+		RetryRate       jsonFloat    `json:"retry_rate"`
+		RTTP50          jsonFloat    `json:"rtt_p50"`
+		RTTP95          jsonFloat    `json:"rtt_p95"`
+		RTTP99          jsonFloat    `json:"rtt_p99"`
+		FNREstimate     jsonFloat    `json:"fnr_estimate"`
+		SeedsClaimed    uint64       `json:"seeds_claimed"`
+		SeedsRemaining  int          `json:"seeds_remaining"`
+		BudgetExhausted bool         `json:"budget_exhausted"`
+		Quarantined     bool         `json:"quarantined"`
+		QuarantineCount uint64       `json:"quarantine_count"`
+		Transitions     []Transition `json:"transitions,omitempty"`
+	}{
+		d.Device, d.Status.String(), d.Reasons,
+		d.Sessions, d.Accepted, d.Rejected, d.Transport,
+		d.WindowRecords, jsonFloat(d.FailureRate), jsonFloat(d.TransportRate), jsonFloat(d.RetryRate),
+		jsonFloat(d.RTTP50), jsonFloat(d.RTTP95), jsonFloat(d.RTTP99), jsonFloat(d.FNREstimate),
+		d.SeedsClaimed, d.SeedsRemaining, d.BudgetExhausted,
+		d.Quarantined, d.QuarantineCount, d.Transitions,
+	})
 }
 
-func writeDeviceJSON(b *strings.Builder, d DeviceHealth) {
-	fmt.Fprintf(b, `{"device": %s, "status": %q`, strconv.Quote(d.Device), d.Status.String())
-	if len(d.Reasons) > 0 {
-		b.WriteString(`, "reasons": [`)
-		for i, r := range d.Reasons {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(strconv.Quote(r))
-		}
-		b.WriteString("]")
-	}
-	fmt.Fprintf(b, `, "sessions": %d, "accepted": %d, "rejected": %d, "transport_failures": %d`,
-		d.Sessions, d.Accepted, d.Rejected, d.Transport)
-	fmt.Fprintf(b, `, "window_records": %d, "failure_rate": %s, "transport_rate": %s, "retry_rate": %s`,
-		d.WindowRecords, jsonNumber(d.FailureRate), jsonNumber(d.TransportRate), jsonNumber(d.RetryRate))
-	fmt.Fprintf(b, `, "rtt_p50": %s, "rtt_p95": %s, "rtt_p99": %s, "fnr_estimate": %s`,
-		jsonNumber(d.RTTP50), jsonNumber(d.RTTP95), jsonNumber(d.RTTP99), jsonNumber(d.FNREstimate))
-	fmt.Fprintf(b, `, "seeds_claimed": %d, "seeds_remaining": %d, "budget_exhausted": %t`,
-		d.SeedsClaimed, d.SeedsRemaining, d.BudgetExhausted)
-	fmt.Fprintf(b, `, "quarantined": %t, "quarantine_count": %d`, d.Quarantined, d.QuarantineCount)
-	if len(d.Transitions) > 0 {
-		b.WriteString(`, "transitions": [`)
-		for i, tr := range d.Transitions {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(b, `{"seq": %d, "time_unix_ns": %d, "from": %q, "to": %q, "reason": %s}`,
-				tr.Seq, tr.Time.UnixNano(), tr.From.String(), tr.To.String(), strconv.Quote(tr.Reason))
-		}
-		b.WriteString("]")
-	}
-	b.WriteString("}")
+// MarshalJSON renders the transition as one entry of a /devices record's
+// transition history.
+func (tr Transition) MarshalJSON() ([]byte, error) {
+	return marshal(struct {
+		Seq    uint64 `json:"seq"`
+		Time   int64  `json:"time_unix_ns"`
+		From   string `json:"from"`
+		To     string `json:"to"`
+		Reason string `json:"reason"`
+	}{tr.Seq, tr.Time.UnixNano(), tr.From.String(), tr.To.String(), tr.Reason})
 }

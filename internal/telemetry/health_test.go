@@ -189,7 +189,7 @@ func TestHealthSummaryAndJSON(t *testing.T) {
 		t.Fatalf("worst status = %v, want suspect", sum.Status())
 	}
 	var sb strings.Builder
-	if err := h.WriteJSON(&sb); err != nil {
+	if err := WriteJSON(&sb, h.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var devices []map[string]any

@@ -27,11 +27,17 @@ type TraceID uint64
 // String renders the ID as fixed-width hex.
 func (t TraceID) String() string { return fmt.Sprintf("%016x", uint64(t)) }
 
+// MarshalText renders the ID in JSON as its hex string.
+func (t TraceID) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
 // SpanID identifies one span within a trace (0 = absent).
 type SpanID uint64
 
 // String renders the ID as fixed-width hex.
 func (s SpanID) String() string { return fmt.Sprintf("%016x", uint64(s)) }
+
+// MarshalText renders the ID in JSON as its hex string.
+func (s SpanID) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // TraceContext is the propagatable part of a span: the pair a wire frame
 // carries so a remote peer can parent its spans into the same trace.

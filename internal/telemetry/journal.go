@@ -1,10 +1,9 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,39 +191,19 @@ func (j *Journal) ByTrace(id TraceID) []Event {
 	return out
 }
 
-// writeEventJSON renders one event as a single-line JSON object.
-func writeEventJSON(b *strings.Builder, e Event) {
-	fmt.Fprintf(b, `{"seq": %d, "time_unix_ns": %d, "kind": %q`,
-		e.Seq, e.Time.UnixNano(), e.Kind.String())
-	if e.Trace != 0 {
-		fmt.Fprintf(b, `, "trace_id": %q`, e.Trace.String())
-	}
-	if e.Session != 0 {
-		fmt.Fprintf(b, `, "session": %d`, e.Session)
-	}
-	if e.Device != "" {
-		fmt.Fprintf(b, `, "device": %s`, strconv.Quote(e.Device))
-	}
-	if e.Detail != "" {
-		fmt.Fprintf(b, `, "detail": %s`, strconv.Quote(e.Detail))
-	}
-	b.WriteString("}")
-}
-
-// WriteJSON renders the retained events (oldest first) as a JSON array.
-func (j *Journal) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("[")
-	for i, e := range j.Recent() {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-		writeEventJSON(&b, e)
-	}
-	b.WriteString("\n]\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+// MarshalJSON renders the event as one /debug/journal record (and one
+// flight-dump line); an absent trace, session, device or detail is
+// omitted.
+func (e Event) MarshalJSON() ([]byte, error) {
+	return marshal(struct {
+		Seq     uint64  `json:"seq"`
+		Time    int64   `json:"time_unix_ns"`
+		Kind    string  `json:"kind"`
+		Trace   TraceID `json:"trace_id,omitempty"`
+		Session uint64  `json:"session,omitempty"`
+		Device  string  `json:"device,omitempty"`
+		Detail  string  `json:"detail,omitempty"`
+	}{e.Seq, e.Time.UnixNano(), e.Kind.String(), e.Trace, e.Session, e.Device, e.Detail})
 }
 
 // Snapshot writes the retained events as JSON lines (one event per line),
@@ -232,14 +211,20 @@ func (j *Journal) WriteJSON(w io.Writer) error {
 // dump format. JSON lines rather than an array so a dump truncated by the
 // failing process is still parseable up to the cut.
 func (j *Journal) Snapshot(w io.Writer, header string) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, `{"flight_recorder": %s, "events": %d, "dropped": %d}`,
-		strconv.Quote(header), j.Len(), j.Dropped())
-	b.WriteString("\n")
-	for _, e := range j.Recent() {
-		writeEventJSON(&b, e)
-		b.WriteString("\n")
+	events := j.Recent()
+	var b bytes.Buffer
+	if err := WriteJSON(&b, struct {
+		FlightRecorder string `json:"flight_recorder"`
+		Events         int    `json:"events"`
+		Dropped        uint64 `json:"dropped"`
+	}{header, len(events), j.Dropped()}); err != nil {
+		return err
 	}
-	_, err := io.WriteString(w, b.String())
+	for _, e := range events {
+		if err := WriteJSON(&b, e); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(b.Bytes())
 	return err
 }

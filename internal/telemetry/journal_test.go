@@ -113,7 +113,7 @@ func TestJournalWriteJSONArray(t *testing.T) {
 	j := NewJournal(8)
 	j.Append(Event{Kind: EventBackoff, Detail: "42ms"})
 	var sb strings.Builder
-	if err := j.WriteJSON(&sb); err != nil {
+	if err := WriteJSON(&sb, j.Recent()); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

@@ -2,12 +2,9 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,18 +24,18 @@ import (
 // files) and never fatal: a failed profile write is reported in the index,
 // not allowed to disturb the attestation path it is observing.
 
-// profileSeq is the process-wide capture sequence. Shared across every
-// Profiler for the same reason flightSeq is shared across Telemetry
-// bundles: two profilers pointed at one directory must never collide on a
-// filename.
-var profileSeq atomic.Uint64
+// profileFiles is the process-wide capture ring: every Profiler draws its
+// sequence from it, so two profilers pointed at one directory never
+// collide on a filename, and a capture directory left by an earlier
+// process is continued and pruned rather than overwritten. Writes through
+// it are serialised, so two profilers' CPU legs never overlap (the runtime
+// supports one active CPU profile); a CPU profile started outside the
+// profilers, such as a test binary's -cpuprofile, fails the CPU leg into
+// the entry's Skipped list.
+var profileFiles = NewFileRing("profile-", ".pb.gz", DefaultProfileCapacity)
 
-// cpuProfileMu serialises CPU profiling process-wide: the runtime supports
-// exactly one active CPU profile, so a second profiler (or a test binary's
-// own -cpuprofile) must skip the CPU leg rather than error the capture.
-var cpuProfileMu sync.Mutex
-
-// DefaultProfileCapacity bounds the on-disk capture ring.
+// DefaultProfileCapacity bounds the captures kept in a capture directory
+// and in the sidecar index.
 const DefaultProfileCapacity = 8
 
 // DefaultCPUProfileDuration is the CPU window captured per trigger: long
@@ -84,12 +81,11 @@ type ProfileCapture struct {
 // concurrent use; captures are single-flight (a trigger arriving while a
 // capture is in progress is counted and dropped, never stacked).
 type Profiler struct {
-	mu       sync.Mutex
-	dir      string
-	capacity int
-	cpuDur   time.Duration
-	clock    func() time.Time
-	index    []ProfileCapture // oldest first
+	mu     sync.Mutex
+	dir    string
+	cpuDur time.Duration
+	clock  func() time.Time
+	index  []ProfileCapture // oldest first
 
 	inflight atomic.Bool
 
@@ -98,14 +94,9 @@ type Profiler struct {
 }
 
 // NewProfiler builds a disabled profiler (no directory). Configure with
-// SetDir, SetCapacity, SetCPUDuration; attach counters with
-// SetCaptureCounters.
+// SetDir and SetCPUDuration; attach counters with SetCaptureCounters.
 func NewProfiler() *Profiler {
-	return &Profiler{
-		capacity: DefaultProfileCapacity,
-		cpuDur:   DefaultCPUProfileDuration,
-		clock:    time.Now,
-	}
+	return &Profiler{cpuDur: DefaultCPUProfileDuration, clock: time.Now}
 }
 
 // SetDir sets the capture directory ("" disables capturing, the default).
@@ -121,20 +112,6 @@ func (p *Profiler) Dir() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.dir
-}
-
-// SetCapacity bounds the retained captures; older captures (and their
-// files) are evicted. Non-positive restores DefaultProfileCapacity.
-func (p *Profiler) SetCapacity(n int) {
-	if n <= 0 {
-		n = DefaultProfileCapacity
-	}
-	p.mu.Lock()
-	p.capacity = n
-	evicted := p.evictLocked()
-	dir := p.dir
-	p.mu.Unlock()
-	removeDirFiles(dir, evicted)
 }
 
 // SetCPUDuration sets the CPU profile window per capture. Zero restores
@@ -199,64 +176,38 @@ func (p *Profiler) Capture(trigger string, meta CaptureMeta) (ProfileCapture, bo
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return ProfileCapture{}, false, fmt.Errorf("telemetry: profile capture: %w", err)
 	}
-	seq := profileSeq.Add(1)
-	entry := ProfileCapture{
-		Seq: seq, Trigger: trigger,
-		Alert:    meta.Alert,
-		UnixNano: now().UnixNano(),
-	}
+	entry := ProfileCapture{Trigger: trigger, Alert: meta.Alert, Files: []string{}, UnixNano: now().UnixNano()}
 	if meta.Trace != 0 {
 		entry.Trace = meta.Trace.String()
 	}
-	for _, kind := range profileKinds {
-		path := filepath.Join(dir, fmt.Sprintf("profile-%04d-%s.%s.pb.gz", seq, sanitizeTrigger(trigger), kind))
-		if err := captureKind(kind, path, cpuDur); err != nil {
-			entry.Skipped = append(entry.Skipped, fmt.Sprintf("%s: %v", kind, err))
-			_ = os.Remove(path)
-			continue
+	// The capture's own failures land in entry.Skipped; a failed prune of
+	// an older capture leaves extra files behind, never a failed capture.
+	_ = profileFiles.Write(dir, func(seq uint64) error {
+		entry.Seq = seq
+		for _, kind := range profileKinds {
+			path := filepath.Join(dir, fmt.Sprintf("profile-%04d-%s.%s.pb.gz", seq, sanitizeTrigger(trigger), kind))
+			if err := captureKind(kind, path, cpuDur); err != nil {
+				entry.Skipped = append(entry.Skipped, fmt.Sprintf("%s: %v", kind, err))
+				_ = os.Remove(path)
+				continue
+			}
+			entry.Files = append(entry.Files, filepath.Base(path))
 		}
-		entry.Files = append(entry.Files, filepath.Base(path))
-	}
+		return nil
+	})
 
 	p.mu.Lock()
 	p.index = append(p.index, entry)
-	evicted := p.evictLocked()
-	dirNow := p.dir
+	if n := len(p.index) - DefaultProfileCapacity; n > 0 {
+		p.index = append(p.index[:0], p.index[n:]...)
+	}
 	p.mu.Unlock()
-	removeDirFiles(dirNow, evicted)
 
 	if cv := p.captures.Load(); cv != nil {
 		cv.With(trigger).Inc()
 	}
 	return entry, true, nil
 }
-
-// evictLocked trims the index to capacity and returns the evicted entries
-// (whose files the caller deletes outside the lock).
-func (p *Profiler) evictLocked() []ProfileCapture {
-	if len(p.index) <= p.capacity {
-		return nil
-	}
-	n := len(p.index) - p.capacity
-	evicted := append([]ProfileCapture(nil), p.index[:n]...)
-	p.index = append(p.index[:0], p.index[n:]...)
-	return evicted
-}
-
-func removeDirFiles(dir string, entries []ProfileCapture) {
-	if dir == "" {
-		return
-	}
-	for _, e := range entries {
-		for _, f := range e.Files {
-			_ = os.Remove(filepath.Join(dir, f))
-		}
-	}
-}
-
-// errCPUBusy marks a skipped CPU leg: the runtime supports one active CPU
-// profile, so a concurrent holder means skip, not fail.
-var errCPUBusy = fmt.Errorf("cpu profiler already running")
 
 // captureKind writes one profile leg to path. CPU profiles run for cpuDur
 // (non-positive skips); the snapshot kinds dump the runtime profile at
@@ -266,10 +217,6 @@ func captureKind(kind, path string, cpuDur time.Duration) error {
 		if cpuDur < 0 {
 			return fmt.Errorf("cpu profiling disabled")
 		}
-		if !cpuProfileMu.TryLock() {
-			return errCPUBusy
-		}
-		defer cpuProfileMu.Unlock()
 		f, err := os.Create(path)
 		if err != nil {
 			return err
@@ -351,49 +298,14 @@ func (p *Profiler) Start(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// WriteJSON renders the sidecar index as a JSON array, newest first (the
-// /debug/profiles body). limit > 0 keeps only the newest limit entries.
-func (p *Profiler) WriteJSON(w io.Writer, limit int) error {
-	entries := p.Snapshot()
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Seq > entries[j].Seq })
-	if limit > 0 && len(entries) > limit {
-		entries = entries[:limit]
+// Recent returns the sidecar index newest first — the /debug/profiles
+// body; limit > 0 keeps only the newest limit entries.
+func (p *Profiler) Recent(limit int) []ProfileCapture {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]ProfileCapture, 0, len(p.index))
+	for i := len(p.index) - 1; i >= 0 && (limit <= 0 || len(out) < limit); i-- {
+		out = append(out, p.index[i])
 	}
-	var b strings.Builder
-	b.WriteString("[")
-	for i, e := range entries {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-		fmt.Fprintf(&b, `{"seq": %d, "trigger": %s`, e.Seq, strconv.Quote(e.Trigger))
-		if e.Alert != "" {
-			fmt.Fprintf(&b, `, "alert": %s`, strconv.Quote(e.Alert))
-		}
-		if e.Trace != "" {
-			fmt.Fprintf(&b, `, "trace": %q`, e.Trace)
-		}
-		b.WriteString(`, "files": [`)
-		for j, f := range e.Files {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(strconv.Quote(f))
-		}
-		b.WriteString("]")
-		if len(e.Skipped) > 0 {
-			b.WriteString(`, "skipped": [`)
-			for j, s := range e.Skipped {
-				if j > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(strconv.Quote(s))
-			}
-			b.WriteString("]")
-		}
-		fmt.Fprintf(&b, `, "unix_ns": %d}`, e.UnixNano)
-	}
-	b.WriteString("\n]\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	return out
 }

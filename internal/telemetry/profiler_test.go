@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -69,7 +71,7 @@ func TestProfilerCaptureWritesRingAndIndex(t *testing.T) {
 
 	// The sidecar index serves the same entry, newest first, as JSON.
 	var sb strings.Builder
-	if err := p.WriteJSON(&sb, 0); err != nil {
+	if err := WriteJSON(&sb, p.Recent(0)); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []ProfileCapture
@@ -83,10 +85,10 @@ func TestProfilerCaptureWritesRingAndIndex(t *testing.T) {
 
 func TestProfilerRingEvictsOldestFiles(t *testing.T) {
 	p, dir := newTestProfiler(t)
-	p.SetCapacity(2)
 	p.SetCPUDuration(-1) // snapshot legs only: 3 files per capture
+	const n = DefaultProfileCapacity + 2
 	var first ProfileCapture
-	for i := 0; i < 4; i++ {
+	for i := 0; i < n; i++ {
 		e, ok, err := p.Capture(fmt.Sprintf("t%d", i), CaptureMeta{})
 		if err != nil || !ok {
 			t.Fatalf("capture %d: ok=%v err=%v", i, ok, err)
@@ -96,11 +98,11 @@ func TestProfilerRingEvictsOldestFiles(t *testing.T) {
 		}
 	}
 	snap := p.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("ring holds %d captures, want 2", len(snap))
+	if len(snap) != DefaultProfileCapacity {
+		t.Fatalf("ring holds %d captures, want %d", len(snap), DefaultProfileCapacity)
 	}
-	if snap[0].Trigger != "t2" || snap[1].Trigger != "t3" {
-		t.Fatalf("ring kept %s,%s — want the two newest", snap[0].Trigger, snap[1].Trigger)
+	if snap[0].Trigger != "t2" || snap[len(snap)-1].Trigger != fmt.Sprintf("t%d", n-1) {
+		t.Fatalf("ring kept %s..%s — want the newest %d", snap[0].Trigger, snap[len(snap)-1].Trigger, DefaultProfileCapacity)
 	}
 	// Evicted captures take their files with them; survivors keep theirs.
 	for _, f := range first.Files {
@@ -108,15 +110,80 @@ func TestProfilerRingEvictsOldestFiles(t *testing.T) {
 			t.Errorf("evicted file %s still on disk (err=%v)", f, err)
 		}
 	}
-	for _, f := range snap[1].Files {
+	for _, f := range snap[len(snap)-1].Files {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Errorf("retained file %s: %v", f, err)
 		}
 	}
-	// Shrinking capacity evicts immediately.
-	p.SetCapacity(1)
-	if snap = p.Snapshot(); len(snap) != 1 || snap[0].Trigger != "t3" {
-		t.Fatalf("after SetCapacity(1): %+v", snap)
+}
+
+// profileSeqsOnDisk returns the distinct capture sequence numbers of the
+// profile-<seq>-*.pb.gz files in dir, ascending.
+func profileSeqsOnDisk(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "profile-*.pb.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{}
+	for _, f := range files {
+		num, _, _ := strings.Cut(strings.TrimPrefix(filepath.Base(f), "profile-"), "-")
+		seq, err := strconv.ParseUint(num, 10, 64)
+		if err != nil {
+			t.Fatalf("capture file %s: %v", f, err)
+		}
+		seen[seq] = true
+	}
+	seqs := make([]uint64, 0, len(seen))
+	for seq := range seen {
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	return seqs
+}
+
+// TestProfilerRingContinuesPastEarlierRun: a capture directory left by an
+// earlier process, at sequence numbers above any this one has drawn, is
+// continued, not overwritten, and pruned like this run's own captures.
+func TestProfilerRingContinuesPastEarlierRun(t *testing.T) {
+	p, dir := newTestProfiler(t)
+	p.SetCPUDuration(-1)
+	const leftover = 900000
+	for i := 0; i < DefaultProfileCapacity; i++ {
+		for _, kind := range []string{"heap", "goroutine", "mutex"} {
+			name := fmt.Sprintf("profile-%04d-periodic.%s.pb.gz", leftover+i, kind)
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("earlier run"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "profile-notes.txt"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	newest := uint64(leftover + DefaultProfileCapacity - 1)
+	for i := 0; i <= DefaultProfileCapacity; i++ {
+		e, ok, err := p.Capture("periodic", CaptureMeta{})
+		if err != nil || !ok {
+			t.Fatalf("capture %d: ok=%v err=%v", i, ok, err)
+		}
+		if e.Seq <= newest {
+			t.Fatalf("capture %d: seq %d, want past %d", i, e.Seq, newest)
+		}
+		newest = e.Seq
+		seqs := profileSeqsOnDisk(t, dir)
+		if len(seqs) > DefaultProfileCapacity {
+			t.Fatalf("capture %d: %d captures on disk, want at most %d", i, len(seqs), DefaultProfileCapacity)
+		}
+		if seqs[len(seqs)-1] != e.Seq {
+			t.Fatalf("capture %d: newest on disk %d, want %d", i, seqs[len(seqs)-1], e.Seq)
+		}
+	}
+	if seqs := profileSeqsOnDisk(t, dir); seqs[0] < leftover+DefaultProfileCapacity {
+		t.Fatalf("earlier run's capture %d survived %d new ones", seqs[0], DefaultProfileCapacity+1)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "profile-notes.txt")); err != nil {
+		t.Fatalf("non-capture file removed: %v", err)
 	}
 }
 

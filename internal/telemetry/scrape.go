@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -93,16 +92,6 @@ func NewFederator(sources []ScrapeSource) (*Federator, error) {
 		f.data[s.Name] = &sourceData{}
 	}
 	return f, nil
-}
-
-// SetClient replaces the scrape HTTP client (nil restores the default).
-func (f *Federator) SetClient(c *http.Client) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c == nil {
-		c = &http.Client{Timeout: DefaultScrapeTimeout}
-	}
-	f.client = c
 }
 
 // SetClock injects the federator's clock (nil restores time.Now).
@@ -265,11 +254,12 @@ func (f *Federator) staleLocked(d *sourceData) bool {
 }
 
 // mergeRecords returns every source's records of one surface with the
-// source label injected, source order preserved.
+// source label injected, source order preserved; empty, not nil, when no
+// source has any, so the body is a JSON array either way.
 func (f *Federator) mergeRecords(pick func(*sourceData) []map[string]any) []map[string]any {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var out []map[string]any
+	out := []map[string]any{}
 	for _, src := range f.sources {
 		d := f.data[src.Name]
 		for _, rec := range pick(d) {
@@ -344,32 +334,6 @@ func (f *Federator) Health() FederatedHealth {
 	return out
 }
 
-// writeMergedJSON marshals merged records as one JSON array.
-func writeMergedJSON(w io.Writer, records []map[string]any) error {
-	if records == nil {
-		records = []map[string]any{}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(records)
-}
-
-// contentJSON is the admin JSON content type.
-const contentJSON = "application/json; charset=utf-8"
-
-// getOnly wraps an admin handler: GET and HEAD pass with the given
-// Content-Type; everything else is 405 with an Allow header.
-func getOnly(contentType string, fn func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", contentType)
-		fn(w, r)
-	}
-}
-
 // Mux serves the merged observability surface:
 //
 //	/metrics/history  the union of every source's series, source-labeled
@@ -382,68 +346,59 @@ func getOnly(contentType string, fn func(http.ResponseWriter, *http.Request)) ht
 //	                  last error, staleness
 func (f *Federator) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics/history", getOnly(contentJSON, func(w http.ResponseWriter, r *http.Request) {
+	merged := func(pick func(*sourceData) []map[string]any) http.HandlerFunc {
+		return GetOnly(ContentJSON, func(w http.ResponseWriter, _ *http.Request) {
+			_ = WriteJSON(w, f.mergeRecords(pick))
+		})
+	}
+	mux.HandleFunc("/metrics/history", GetOnly(ContentJSON, func(w http.ResponseWriter, _ *http.Request) {
 		series := f.mergeRecords(func(d *sourceData) []map[string]any { return d.history })
-		if series == nil {
-			series = []map[string]any{}
-		}
-		_ = json.NewEncoder(w).Encode(map[string]any{
+		_ = WriteJSON(w, map[string]any{
 			"federated": true, "sources": len(f.Sources()), "series": series,
 		})
 	}))
-	mux.HandleFunc("/devices", getOnly(contentJSON, func(w http.ResponseWriter, r *http.Request) {
-		_ = writeMergedJSON(w, f.mergeRecords(func(d *sourceData) []map[string]any { return d.devices }))
-	}))
-	mux.HandleFunc("/alerts", getOnly(contentJSON, func(w http.ResponseWriter, r *http.Request) {
-		_ = writeMergedJSON(w, f.mergeRecords(func(d *sourceData) []map[string]any { return d.alerts }))
-	}))
-	mux.HandleFunc("/probes", getOnly(contentJSON, func(w http.ResponseWriter, r *http.Request) {
-		_ = writeMergedJSON(w, f.mergeRecords(func(d *sourceData) []map[string]any { return d.probes }))
-	}))
-	mux.HandleFunc("/healthz", getOnly(contentJSON, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/devices", merged(func(d *sourceData) []map[string]any { return d.devices }))
+	mux.HandleFunc("/alerts", merged(func(d *sourceData) []map[string]any { return d.alerts }))
+	mux.HandleFunc("/probes", merged(func(d *sourceData) []map[string]any { return d.probes }))
+	mux.HandleFunc("/healthz", GetOnly(ContentJSON, func(w http.ResponseWriter, _ *http.Request) {
 		h := f.Health()
 		if h.Status == StatusSuspect.String() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
-		_ = json.NewEncoder(w).Encode(map[string]any{
+		_ = WriteJSON(w, map[string]any{
 			"status": h.Status, "federated": true,
 			"stale_sources": append([]string{}, h.Stale...),
 			"sources":       h.Sources,
 		})
 	}))
-	mux.HandleFunc("/federation", getOnly(contentJSON, func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.WriteString(w, f.FederationJSON())
+	mux.HandleFunc("/federation", GetOnly(ContentJSON, func(w http.ResponseWriter, _ *http.Request) {
+		_ = WriteJSON(w, f.Scrapes())
 	}))
 	return mux
 }
 
-// FederationJSON renders per-source scrape health as JSON.
-func (f *Federator) FederationJSON() string {
+// ScrapeStatus is one source's scrape health — a /federation record.
+type ScrapeStatus struct {
+	Source      string `json:"source"`
+	Scrapes     uint64 `json:"scrapes"`
+	Failures    uint64 `json:"failures"`
+	Stale       bool   `json:"stale"`
+	LastSuccess *int64 `json:"last_success_unix_ns,omitempty"`
+	LastError   string `json:"last_error,omitempty"`
+}
+
+// Scrapes returns every source's scrape health, sorted by source name.
+func (f *Federator) Scrapes() []ScrapeStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	names := make([]string, 0, len(f.sources))
-	for _, s := range f.sources {
-		names = append(names, s.Name)
+	out := make([]ScrapeStatus, 0, len(f.sources))
+	for _, src := range f.sources {
+		d := f.data[src.Name]
+		out = append(out, ScrapeStatus{
+			Source: src.Name, Scrapes: d.scrapes, Failures: d.failures,
+			Stale: f.staleLocked(d), LastSuccess: unixNs(d.lastSuccess), LastError: d.lastErr,
+		})
 	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString("[")
-	for i, name := range names {
-		d := f.data[name]
-		if i > 0 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-		fmt.Fprintf(&b, `{"source": %s, "scrapes": %d, "failures": %d, "stale": %t`,
-			strconv.Quote(name), d.scrapes, d.failures, f.staleLocked(d))
-		if !d.lastSuccess.IsZero() {
-			fmt.Fprintf(&b, `, "last_success_unix_ns": %d`, d.lastSuccess.UnixNano())
-		}
-		if d.lastErr != "" {
-			fmt.Fprintf(&b, `, "last_error": %s`, strconv.Quote(d.lastErr))
-		}
-		b.WriteString("}")
-	}
-	b.WriteString("\n]\n")
-	return b.String()
+	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
+	return out
 }

@@ -1,7 +1,7 @@
 // Package telemetry is the repository's zero-dependency observability
 // layer: atomic counters, gauges, and fixed-bucket histograms collected in
-// a Registry that renders both Prometheus text exposition format and
-// expvar-style JSON, plus lightweight spans (trace.go) for the
+// a Registry that renders Prometheus text exposition format and serves
+// an expvar-style map for JSON, plus lightweight spans (trace.go) for the
 // challenge→PUF-eval→checksum→verdict pipeline.
 //
 // PUFatt's security argument is a timing argument — the verifier accepts
@@ -143,56 +143,6 @@ func (h *Histogram) observeN(v float64, n uint64) {
 	h.total.Add(n)
 }
 
-// NumBuckets returns the bucket count including the +Inf tail.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
-// BucketExemplar returns the most recent exemplar observed into bucket i
-// (0 when the bucket never saw one).
-func (h *Histogram) BucketExemplar(i int) uint64 {
-	if i < 0 || i >= len(h.exemplars) {
-		return 0
-	}
-	return h.exemplars[i].Load()
-}
-
-// QuantileExemplar returns the most recent exemplar from the bucket that
-// owns the q-th quantile — the trace to pull when that quantile spikes.
-// Zero when the histogram is empty or the owning bucket has no exemplar.
-func (h *Histogram) QuantileExemplar(q float64) uint64 {
-	i, ok := h.quantileBucket(q)
-	if !ok {
-		return 0
-	}
-	return h.exemplars[i].Load()
-}
-
-// quantileBucket returns the index of the bucket owning the q-th quantile.
-func (h *Histogram) quantileBucket(q float64) (int, bool) {
-	total := h.total.Load()
-	if total == 0 {
-		return 0, false
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= rank {
-			return i, true
-		}
-		cum += n
-	}
-	return len(h.counts) - 1, true
-}
-
 // StartTimer returns a stop function that observes the elapsed time in
 // seconds measured by the injected clock (nil means time.Now). Tests pass a
 // fake clock so timing metrics never require sleeping.
@@ -257,6 +207,18 @@ type Summary struct {
 	Count         uint64
 	Sum           float64
 	P50, P95, P99 float64
+}
+
+// MarshalJSON renders the digest as {count, sum, p50, p95, p99}; an
+// empty histogram's quantiles are null.
+func (s Summary) MarshalJSON() ([]byte, error) {
+	return marshal(struct {
+		Count uint64    `json:"count"`
+		Sum   jsonFloat `json:"sum"`
+		P50   jsonFloat `json:"p50"`
+		P95   jsonFloat `json:"p95"`
+		P99   jsonFloat `json:"p99"`
+	}{s.Count, jsonFloat(s.Sum), jsonFloat(s.P50), jsonFloat(s.P95), jsonFloat(s.P99)})
 }
 
 // Summary digests the histogram's current state.
@@ -590,47 +552,23 @@ func writePromHistogram(w io.Writer, f *family, s *series) error {
 	return err
 }
 
-// jsonNumber renders a float for JSON output (NaN/Inf become null, which
-// encoding/json cannot represent as numbers).
-func jsonNumber(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return "null"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WriteJSON renders every registered metric as an expvar-style JSON object:
-// scalar metrics map name (or name{labels}) to their value; histograms map
-// to {count, sum, p50, p95, p99}.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("{")
-	first := true
-	emit := func(key, val string) {
-		if !first {
-			b.WriteString(",\n")
-		} else {
-			b.WriteString("\n")
-		}
-		first = false
-		fmt.Fprintf(&b, "%s: %s", strconv.Quote(key), val)
-	}
+// Vars returns every registered metric keyed by name (or name{labels}) —
+// the expvar-style /debug/vars body: counters map to their count, gauges
+// to their value, histograms to their Summary.
+func (r *Registry) Vars() map[string]any {
+	out := make(map[string]any)
 	for _, f := range r.snapshotFamilies() {
 		for _, s := range f.snapshot() {
 			key := f.name + labelString(f.labels, s.values, "", "")
 			switch f.kind {
 			case kindCounter:
-				emit(key, strconv.FormatUint(s.counter.Value(), 10))
+				out[key] = s.counter.Value()
 			case kindGauge:
-				emit(key, jsonNumber(s.gauge.Value()))
+				out[key] = jsonFloat(s.gauge.Value())
 			case kindHistogram:
-				sum := s.hist.Summary()
-				emit(key, fmt.Sprintf(`{"count": %d, "sum": %s, "p50": %s, "p95": %s, "p99": %s}`,
-					sum.Count, jsonNumber(sum.Sum), jsonNumber(sum.P50), jsonNumber(sum.P95), jsonNumber(sum.P99)))
+				out[key] = s.hist.Summary()
 			}
 		}
 	}
-	b.WriteString("\n}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	return out
 }

@@ -182,7 +182,7 @@ func TestJSONRendering(t *testing.T) {
 	h := r.Histogram("h_seconds", "", []float64{1, 10})
 	h.Observe(0.5)
 	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
+	if err := WriteJSON(&b, r.Vars()); err != nil {
 		t.Fatal(err)
 	}
 	var decoded map[string]any
@@ -287,7 +287,7 @@ func TestTracerWriteJSON(t *testing.T) {
 	s.Child("verify").Finish()
 	s.Finish()
 	var b strings.Builder
-	if err := tr.WriteJSON(&b); err != nil {
+	if err := WriteJSON(&b, tr.Recent()); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]any

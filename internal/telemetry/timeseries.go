@@ -2,11 +2,9 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -187,9 +185,6 @@ func (ts *TimeSeries) SetWindow(window time.Duration) {
 	defer ts.mu.Unlock()
 	ts.window = window
 }
-
-// Capacity returns the per-series ring length.
-func (ts *TimeSeries) Capacity() int { return ts.capacity }
 
 // Collections reports how many Collect passes have run.
 func (ts *TimeSeries) Collections() uint64 {
@@ -448,52 +443,60 @@ func (ts *TimeSeries) Latest(key string) (Point, bool) {
 	return r.points[idx], true
 }
 
-// exemplarString renders a trace-ID exemplar in the tracer's hex format.
-func exemplarString(x uint64) string { return TraceID(x).String() }
-
-// WriteJSON renders the selected history as JSON:
-//
-//	{"window_seconds": W, "capacity": C, "collections": N, "series": [
-//	  {"name": ..., "family": ..., "kind": ..., "points": [...]}]}
-//
-// Scalar points are {"t": unixNs, "v": value}; histogram points carry
-// {"t", "count", "sum", "p50", "p95", "p99"} plus "exemplar" (a trace ID)
-// when the windowed-p99 bucket retains one.
-func (ts *TimeSeries) WriteJSON(w io.Writer, q RangeQuery) error {
-	series := ts.Query(q)
-	ts.mu.Lock()
-	window, capacity, collections := ts.window, ts.capacity, ts.collections
-	ts.mu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, `{"window_seconds": %s, "capacity": %d, "collections": %d, "series": [`,
-		jsonNumber(window.Seconds()), capacity, collections)
-	for i, s := range series {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-		fmt.Fprintf(&b, `{"name": %s, "family": %s, "kind": %q, "points": [`,
-			strconv.Quote(s.Key), strconv.Quote(s.Family), s.Kind)
-		for j, p := range s.Points {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			if s.Kind == "histogram" {
-				fmt.Fprintf(&b, `{"t": %d, "count": %d, "sum": %s, "p50": %s, "p95": %s, "p99": %s`,
-					p.TimeUnixNs, p.Count, jsonNumber(p.Sum), jsonNumber(p.P50), jsonNumber(p.P95), jsonNumber(p.P99))
-				if p.Exemplar != 0 {
-					fmt.Fprintf(&b, `, "exemplar": %q`, exemplarString(p.Exemplar))
-				}
-				b.WriteString("}")
-			} else {
-				fmt.Fprintf(&b, `{"t": %d, "v": %s}`, p.TimeUnixNs, jsonNumber(p.Value))
-			}
-		}
-		b.WriteString("]}")
+// MarshalJSON renders the series as one /metrics/history record:
+// {"name", "family", "kind", "points"}. Scalar points are {"t": unixNs,
+// "v": value}; histogram points carry {"t", "count", "sum", "p50", "p95",
+// "p99"} plus "exemplar" (a trace ID) when the windowed-p99 bucket
+// retains one.
+func (s Series) MarshalJSON() ([]byte, error) {
+	type scalarPoint struct {
+		T int64     `json:"t"`
+		V jsonFloat `json:"v"`
 	}
-	b.WriteString("\n]}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	type histogramPoint struct {
+		T        int64     `json:"t"`
+		Count    uint64    `json:"count"`
+		Sum      jsonFloat `json:"sum"`
+		P50      jsonFloat `json:"p50"`
+		P95      jsonFloat `json:"p95"`
+		P99      jsonFloat `json:"p99"`
+		Exemplar TraceID   `json:"exemplar,omitempty"`
+	}
+	points := make([]any, len(s.Points))
+	for i, p := range s.Points {
+		if s.Kind == kindHistogram.String() {
+			points[i] = histogramPoint{p.TimeUnixNs, p.Count, jsonFloat(p.Sum),
+				jsonFloat(p.P50), jsonFloat(p.P95), jsonFloat(p.P99), TraceID(p.Exemplar)}
+		} else {
+			points[i] = scalarPoint{p.TimeUnixNs, jsonFloat(p.Value)}
+		}
+	}
+	return marshal(struct {
+		Name   string `json:"name"`
+		Family string `json:"family"`
+		Kind   string `json:"kind"`
+		Points []any  `json:"points"`
+	}{s.Key, s.Family, s.Kind, points})
+}
+
+// History is the /metrics/history body: the store's shape and the
+// selected series.
+type History struct {
+	WindowSeconds jsonFloat `json:"window_seconds"`
+	Capacity      int       `json:"capacity"`
+	Collections   uint64    `json:"collections"`
+	Series        []Series  `json:"series"`
+}
+
+// History returns the selected history under the store's header.
+func (ts *TimeSeries) History(q RangeQuery) History {
+	series := ts.Query(q)
+	if series == nil {
+		series = []Series{}
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return History{jsonFloat(ts.window.Seconds()), ts.capacity, ts.collections, series}
 }
 
 // StartCollecting runs Collect every interval (<=0 means the store's

@@ -266,7 +266,7 @@ func TestTimeSeriesWriteJSON(t *testing.T) {
 	ts.Collect()
 
 	var b strings.Builder
-	if err := ts.WriteJSON(&b, RangeQuery{}); err != nil {
+	if err := WriteJSON(&b, ts.History(RangeQuery{})); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

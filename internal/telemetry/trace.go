@@ -1,11 +1,7 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"strings"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -286,59 +282,24 @@ func (t *Tracer) ByTrace(id TraceID) []*Span {
 	return out
 }
 
-// WriteJSON renders the retained traces as a JSON array of span trees:
-// {"name", "trace_id", "span_id", "parent_span_id", "start_unix_ns",
-// "duration_seconds", "attrs", "children"}.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("[")
-	for i, s := range t.Recent() {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-		writeSpanJSON(&b, s)
-	}
-	b.WriteString("\n]\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func writeSpanJSON(b *strings.Builder, s *Span) {
-	fmt.Fprintf(b, `{"name": %s, "trace_id": %q, "span_id": %q`,
-		strconv.Quote(s.name), s.trace.String(), s.id.String())
-	if s.parentID != 0 {
-		fmt.Fprintf(b, `, "parent_span_id": %q`, s.parentID.String())
-	}
-	fmt.Fprintf(b, `, "start_unix_ns": %d, "duration_seconds": %s`,
-		s.start.UnixNano(), jsonNumber(s.Duration().Seconds()))
+// MarshalJSON renders the span and its subtree as one /debug/traces
+// record: {"name", "trace_id", "span_id", "parent_span_id",
+// "start_unix_ns", "duration_seconds", "attrs", "children"}, with the
+// parent, attributes and children omitted when absent.
+func (s *Span) MarshalJSON() ([]byte, error) {
+	d := s.Duration()
 	s.mu.Lock()
-	attrs := make([]string, 0, len(s.attrs))
-	for k := range s.attrs {
-		attrs = append(attrs, k)
-	}
+	attrs := maps.Clone(s.attrs)
 	children := append([]*Span(nil), s.children...)
 	s.mu.Unlock()
-	if len(attrs) > 0 {
-		sort.Strings(attrs)
-		b.WriteString(`, "attrs": {`)
-		for i, k := range attrs {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(b, "%s: %s", strconv.Quote(k), strconv.Quote(s.Attr(k)))
-		}
-		b.WriteString("}")
-	}
-	if len(children) > 0 {
-		b.WriteString(`, "children": [`)
-		for i, c := range children {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			writeSpanJSON(b, c)
-		}
-		b.WriteString("]")
-	}
-	b.WriteString("}")
+	return marshal(struct {
+		Name     string            `json:"name"`
+		Trace    TraceID           `json:"trace_id"`
+		Span     SpanID            `json:"span_id"`
+		Parent   SpanID            `json:"parent_span_id,omitempty"`
+		Start    int64             `json:"start_unix_ns"`
+		Duration jsonFloat         `json:"duration_seconds"`
+		Attrs    map[string]string `json:"attrs,omitempty"`
+		Children []*Span           `json:"children,omitempty"`
+	}{s.name, s.trace, s.id, s.parentID, s.start.UnixNano(), jsonFloat(d.Seconds()), attrs, children})
 }

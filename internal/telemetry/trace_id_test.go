@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -108,18 +109,30 @@ func TestTraceJSONCarriesIDs(t *testing.T) {
 	sp.Child("verify").Finish()
 	sp.Finish()
 	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
+	if err := WriteJSON(&sb, tr.Recent()); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		`"trace_id": "` + sp.TraceID().String() + `"`,
-		`"span_id": "` + sp.SpanID().String() + `"`,
-		`"parent_span_id": "` + sp.SpanID().String() + `"`, // on the child
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace JSON missing %s:\n%s", want, out)
-		}
+	var roots []struct {
+		TraceID  string `json:"trace_id"`
+		SpanID   string `json:"span_id"`
+		Children []struct {
+			ParentSpanID string `json:"parent_span_id"`
+		} `json:"children"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &roots); err != nil {
+		t.Fatalf("trace JSON does not parse: %v\n%s", err, sb.String())
+	}
+	if len(roots) != 1 || len(roots[0].Children) != 1 {
+		t.Fatalf("trace JSON = %+v, want one root with one child", roots)
+	}
+	if got := roots[0].TraceID; got != sp.TraceID().String() {
+		t.Errorf("trace_id = %q, want %s", got, sp.TraceID())
+	}
+	if got := roots[0].SpanID; got != sp.SpanID().String() {
+		t.Errorf("span_id = %q, want %s", got, sp.SpanID())
+	}
+	if got := roots[0].Children[0].ParentSpanID; got != sp.SpanID().String() { // on the child
+		t.Errorf("child parent_span_id = %q, want %s", got, sp.SpanID())
 	}
 }
 
