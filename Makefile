@@ -21,9 +21,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The race-detected packages: the same list scripts/verify.sh runs.
+# The race-detected packages, one per line in scripts/race-packages, which
+# scripts/verify.sh reads too.
+RACE_PKGS := $(shell cat scripts/race-packages)
+
 race:
-	$(GO) test -race ./internal/attest/... ./internal/telemetry/... ./internal/crp/... ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/attacks ./cmd/pufatt-top
+	$(GO) test -race $(RACE_PKGS)
 
 verify:
 	./scripts/verify.sh

@@ -321,7 +321,6 @@ func readFrameCtx(r io.Reader, want byte) ([]byte, telemetry.TraceContext, error
 		}
 		body = body[2+extLen:]
 	}
-	tel.FramesReceived.With(frameTypeName(want)).Inc()
 	return body, tc, nil
 }
 

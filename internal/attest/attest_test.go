@@ -222,6 +222,7 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
+	ioBefore, magicBefore := tel.FramesRejected.With("io").Value(), tel.FramesRejected.With("magic").Value()
 	if _, err := ReadChallenge(bytes.NewReader([]byte{1, 2, 3})); err == nil {
 		t.Error("short challenge accepted")
 	}
@@ -240,6 +241,13 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	buf2.Write(body)
 	if _, err := ReadResponse(&buf2); err == nil {
 		t.Error("inconsistent helper count accepted")
+	}
+	// The two short reads die in the header, the third on its magic.
+	if got := tel.FramesRejected.With("io").Value() - ioBefore; got != 2 {
+		t.Errorf("attest_frames_rejected_total{reason=io} delta = %d, want 2", got)
+	}
+	if got := tel.FramesRejected.With("magic").Value() - magicBefore; got != 1 {
+		t.Errorf("attest_frames_rejected_total{reason=magic} delta = %d, want 1", got)
 	}
 }
 

@@ -22,6 +22,9 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 	if got := a.InFlight(); got != 2 {
 		t.Fatalf("InFlight = %d, want 2", got)
 	}
+	if v := a.met.InFlight.With("s").Value(); v != 2 {
+		t.Fatalf("cluster_inflight_sessions{shard=s} = %v, want 2", v)
+	}
 	_, err = a.Acquire(context.Background())
 	var oe *OverloadError
 	if !errors.As(err, &oe) {
@@ -41,6 +44,9 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 	if got := a.InFlight(); got != 0 {
 		t.Fatalf("InFlight after release = %d, want 0", got)
 	}
+	if v := a.met.InFlight.With("s").Value(); v != 0 {
+		t.Fatalf("cluster_inflight_sessions{shard=s} after release = %v, want 0", v)
+	}
 }
 
 func TestAdmissionQueueAdmitsOnRelease(t *testing.T) {
@@ -57,11 +63,12 @@ func TestAdmissionQueueAdmitsOnRelease(t *testing.T) {
 		}
 		admitted <- err
 	}()
-	// Wait for the second session to reach the queue.
+	// Wait for the second session to reach the queue, as the queue-depth
+	// gauge reports it.
 	deadline := time.Now().Add(2 * time.Second)
-	for a.QueueDepth() == 0 {
+	for a.met.QueueDepth.With("s").Value() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("second session never queued")
+			t.Fatalf("second session never queued: cluster_queue_depth{shard=s} = %v", a.met.QueueDepth.With("s").Value())
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -78,6 +85,9 @@ func TestAdmissionQueueAdmitsOnRelease(t *testing.T) {
 	r1()
 	if err := <-admitted; err != nil {
 		t.Fatalf("queued session not admitted on release: %v", err)
+	}
+	if v := a.met.QueueDepth.With("s").Value(); v != 0 {
+		t.Fatalf("cluster_queue_depth{shard=s} after admission = %v, want 0", v)
 	}
 }
 

@@ -166,20 +166,35 @@ func (c *Cluster) Kill(id string) error {
 		return fmt.Errorf("cluster: unknown shard %q", id)
 	}
 	sh.alive.Store(false)
+	c.observeLag()
 	return nil
 }
 
 // Revive marks a dead shard live again. Its claim logs are whatever they
 // were at kill time: promotion of a revived-but-stale replica fails closed
 // (ErrStaleReplica) until the next claim cycle, when the leader streams it
-// the frames it missed and it becomes promotable again.
+// the frames it missed and it becomes promotable again. Until then the
+// replica is a live follower behind the high-water mark, and the lag gauge
+// says so.
 func (c *Cluster) Revive(id string) error {
 	sh := c.shards[id]
 	if sh == nil {
 		return fmt.Errorf("cluster: unknown shard %q", id)
 	}
 	sh.alive.Store(true)
+	c.observeLag()
 	return nil
+}
+
+// observeLag re-reports every group's worst live-follower lag after a
+// shard's liveness changed: a revived replica is live and behind until its
+// leader's next claim cycle, and a killed one stops counting.
+func (c *Cluster) observeLag() {
+	for _, g := range c.groupList() {
+		g.mu.Lock()
+		g.observeLagLocked()
+		g.mu.Unlock()
+	}
 }
 
 // Enroll installs a device's measured enrollment, placing its replica set
@@ -360,17 +375,7 @@ func (c *Cluster) AuditClaims() Audit {
 			audit.DeadShards = append(audit.DeadShards, sid)
 		}
 	}
-	c.mu.Lock()
-	ids := make([]int, 0, len(c.groups))
-	for id := range c.groups {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	groups := make([]*Group, 0, len(ids))
-	for _, id := range ids {
-		groups = append(groups, c.groups[id])
-	}
-	c.mu.Unlock()
+	groups := c.groupList()
 
 	for _, g := range groups {
 		audit.Devices++
@@ -435,4 +440,20 @@ func (c *Cluster) AuditClaims() Audit {
 		c.met.Audits.With("violations").Inc()
 	}
 	return audit
+}
+
+// groupList returns the enrolled groups in ascending device order.
+func (c *Cluster) groupList() []*Group {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ids := make([]int, 0, len(c.groups))
+	for id := range c.groups {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	groups := make([]*Group, 0, len(ids))
+	for _, id := range ids {
+		groups = append(groups, c.groups[id])
+	}
+	return groups
 }

@@ -114,6 +114,14 @@ func TestPromotionRefusesStaleReplica(t *testing.T) {
 	}
 	reps := g.Replicas()
 	leader, followA, followB := reps[0], reps[1], reps[2]
+	promotions := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, result := range []string{"promoted", "stale_refused", "down", "not_replica"} {
+			out[result] = c.Metrics().Promotions.With(result).Value()
+		}
+		return out
+	}
+	before := promotions()
 
 	if _, err := g.NextUnused(); err != nil {
 		t.Fatal(err)
@@ -169,6 +177,12 @@ func TestPromotionRefusesStaleReplica(t *testing.T) {
 	if err := g.Promote("ghost"); err == nil || !strings.Contains(err.Error(), "not a replica") {
 		t.Fatalf("promoting non-replica: %v", err)
 	}
+	after := promotions()
+	for result, want := range map[string]uint64{"promoted": 1, "stale_refused": 2, "down": 1, "not_replica": 1} {
+		if got := after[result] - before[result]; got != want {
+			t.Fatalf("cluster_promotions_total{result=%s} delta = %d, want %d", result, got, want)
+		}
+	}
 	if audit := c.AuditClaims(); !audit.Clean() {
 		t.Fatalf("audit violations: %v", audit.Violations)
 	}
@@ -176,6 +190,7 @@ func TestPromotionRefusesStaleReplica(t *testing.T) {
 
 func TestAutoFailoverPicksCaughtUpReplica(t *testing.T) {
 	c := threeShards(t, true)
+	newClusterTelemetry(t, c, 2) // a private lag gauge
 	g, err := c.Enroll(fakeEnrollment(2, 1, 10, 20, 30, 40))
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +205,21 @@ func TestAutoFailoverPicksCaughtUpReplica(t *testing.T) {
 		if _, err := g.NextUnused(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := c.Revive(followB); err != nil {
+		t.Fatal(err)
+	}
+	// The revived follower is live and two frames behind until the next
+	// claim cycle; dead again, it stops counting.
+	lag := c.Metrics().ReplLag
+	if v := lag.Value(); v != 2 {
+		t.Fatalf("cluster_repl_lag_frames = %v after a stale revive, want 2", v)
+	}
+	if err := c.Kill(followB); err != nil {
+		t.Fatal(err)
+	}
+	if v := lag.Value(); v != 0 {
+		t.Fatalf("cluster_repl_lag_frames = %v with the stale follower dead, want 0", v)
 	}
 	if err := c.Revive(followB); err != nil {
 		t.Fatal(err)
@@ -395,8 +425,18 @@ func TestClusterLeaderKillMidSweep(t *testing.T) {
 		t.Fatalf("sweep 1: %s", report)
 	}
 	// Second sweep with the shard still dead: every device it led is now
-	// served by a promoted, caught-up replica.
+	// served by a promoted, caught-up replica, routed there by failover.
+	owned := 0
+	for id := 0; id < devices; id++ {
+		if c.ring.Route(DeviceKey(id)) == "shard-0" {
+			owned++
+		}
+	}
+	failovers := c.Metrics().FailoverRoutes.Value()
 	report = fleet.Sweep(context.Background(), policy)
+	if got := c.Metrics().FailoverRoutes.Value() - failovers; owned == 0 || got != uint64(owned) {
+		t.Fatalf("cluster_failover_routes_total delta = %d, want one per shard-0 device (%d)", got, owned)
+	}
 	for _, r := range report.Results {
 		if !r.Healthy() {
 			t.Fatalf("device %d sweep 2: err=%v accepted=%v", r.NodeID, r.Err, r.Result.Accepted)
@@ -561,6 +601,10 @@ func TestAuditEpochOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clean, violations := c.Metrics().Audits.With("clean").Value(), c.Metrics().Audits.With("violations").Value()
+	if !c.AuditClaims().Clean() {
+		t.Fatal("fresh enrollment audit not clean")
+	}
 	for name, frames := range map[string][][]byte{
 		"3→1": {crp.TransitionFrame(1, 3), crp.TransitionFrame(3, 1)},
 		"9→2": {crp.TransitionFrame(1, 3), crp.TransitionFrame(9, 2)},
@@ -574,5 +618,11 @@ func TestAuditEpochOrder(t *testing.T) {
 		if len(audit.Violations) != 1 || !strings.Contains(audit.Violations[0], "does not advance") {
 			t.Fatalf("audit of %s: %v, want one epoch-order violation", name, audit.Violations)
 		}
+	}
+	if got := c.Metrics().Audits.With("clean").Value() - clean; got != 1 {
+		t.Fatalf("cluster_claim_audits_total{outcome=clean} delta = %d, want 1", got)
+	}
+	if got := c.Metrics().Audits.With("violations").Value() - violations; got != 2 {
+		t.Fatalf("cluster_claim_audits_total{outcome=violations} delta = %d, want 2", got)
 	}
 }

@@ -201,11 +201,7 @@ func (g *Group) claimLocked(lead string, seed uint64) error {
 	if err := g.logs[lead].ledger.Check(crp.Frame{Seed: seed}); err != nil {
 		return fmt.Errorf("cluster: device %d: %w", g.device, err)
 	}
-	if err := g.replicateLocked(lead, crp.ClaimFrame(seed)); err != nil {
-		return err
-	}
-	g.c.met.ReplClaims.Inc()
-	return nil
+	return g.replicateLocked(lead, crp.ClaimFrame(seed))
 }
 
 // NextUnused implements attest.SeedBudget.
@@ -228,18 +224,11 @@ func (g *Group) replicateLocked(lead string, frame []byte) error {
 	// acknowledge cycle records under it as repl.ack with one repl.follower
 	// child per live follower streamed to — the trace's answer to "where
 	// did replication time go, and to whom".
-	tracer := g.c.tel.Tracer
 	var spAck *telemetry.Span
 	if root := g.active.Load(); root != nil {
 		spAck = root.Child("repl.ack")
 		spAck.SetAttr("leader", lead)
-	}
-	ackStart := tracer.Now()
-	finishAck := func() {
-		if spAck != nil {
-			spAck.Finish()
-		}
-		g.c.met.ReplAck.Observe(tracer.Now().Sub(ackStart).Seconds())
+		defer spAck.Finish()
 	}
 
 	log := g.logs[lead]
@@ -248,7 +237,6 @@ func (g *Group) replicateLocked(lead string, frame []byte) error {
 		if spAck != nil {
 			spAck.SetAttr("error", err.Error())
 		}
-		finishAck()
 		return fmt.Errorf("cluster: leader %s append for device %d: %w", lead, g.device, err)
 	}
 	g.acked[lead] = seq
@@ -268,10 +256,8 @@ func (g *Group) replicateLocked(lead string, frame []byte) error {
 					spf.SetAttr("error", err.Error())
 					spf.Finish()
 				}
-				finishAck()
 				return fmt.Errorf("cluster: replicating seq %d for device %d to %s: %w", s, g.device, sid, err)
 			}
-			g.c.met.ReplFrames.Inc()
 		}
 		g.acked[sid] = seq
 		if spf != nil {
@@ -280,7 +266,6 @@ func (g *Group) replicateLocked(lead string, frame []byte) error {
 	}
 	g.hwm = seq
 	g.observeLagLocked()
-	finishAck()
 	return nil
 }
 

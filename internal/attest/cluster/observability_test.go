@@ -216,22 +216,24 @@ func TestProberDeterministicOverFaultyLink(t *testing.T) {
 		t.Fatalf("clean shard-0 probe failures = %d, want 0", v)
 	}
 	if v := met.ProbeSessions.With("shard-2", "accepted").Value(); v != rounds {
-		t.Fatalf("shard-2 accepted probe sessions = %d, want %d", v, rounds)
+		t.Fatalf("cluster_probe_sessions_total{shard=shard-2,verdict=accepted} = %d, want %d", v, rounds)
 	}
 }
 
-// The PR-10 acceptance scenario, deterministic end to end: queue-wait
+// The cluster alerting scenario, deterministic end to end: queue-wait
 // inflation on one shard drives the queue-wait burn alert, the alert
 // triggers a profile capture tagged with its name and an exemplar trace
 // whose tree contains the queue.wait span — while that shard's canary
 // still reports the protocol itself correct. Conversely, a shard with ZERO
-// organic traffic is flagged by its canary alone.
+// organic traffic is flagged by its canary alone. Requests refused by the
+// full queue drive the overload burn, and a replica revived behind its
+// group's high-water mark drives the replication-lag alert.
 func TestQueueWaitAlertProfileAndProbeEndToEnd(t *testing.T) {
 	c, err := New(Config{
 		Shards:       []string{"shard-0", "shard-1", "shard-2"},
 		Replicas:     3,
 		MaxInFlight:  1, // one slot: a parked session forces real queueing
-		MaxQueue:     4,
+		MaxQueue:     1, // one waiter: a second arrival is refused
 		AutoFailover: true,
 	})
 	if err != nil {
@@ -251,6 +253,30 @@ func TestQueueWaitAlertProfileAndProbeEndToEnd(t *testing.T) {
 			quiet = sid
 			break
 		}
+	}
+
+	// A second device loses a follower for one claim; revived, the
+	// follower is live and one frame behind, and stays so because the
+	// device sees no further claims.
+	lagging, err := c.Enroll(fakeEnrollment(1, 1, 10, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := lagging.Replicas()[1]
+	if stale == hot {
+		stale = lagging.Replicas()[2]
+	}
+	if err := c.Kill(stale); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lagging.NextUnused(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Revive(stale); err != nil {
+		t.Fatal(err)
+	}
+	if v := c.Metrics().ReplLag.Value(); v != 1 {
+		t.Fatalf("cluster_repl_lag_frames = %v after a stale revive, want 1", v)
 	}
 
 	// Canaries probe every shard; the quiet shard's canary link is faulted,
@@ -284,8 +310,9 @@ func TestQueueWaitAlertProfileAndProbeEndToEnd(t *testing.T) {
 	}
 
 	// Each round: park a session in the hot shard's only slot, queue a real
-	// one behind it, advance the clock one second of queue wait, release,
-	// then probe every shard and collect a history window.
+	// one behind it, have two more arrivals refused by the full queue,
+	// advance the clock one second of queue wait, release, then probe
+	// every shard and collect a history window.
 	policy := attest.RetryPolicy{MaxAttempts: 3, JitterSeed: 1}
 	for round := 0; round < 6; round++ {
 		adm := c.Shard(hot).Admission()
@@ -302,6 +329,11 @@ func TestQueueWaitAlertProfileAndProbeEndToEnd(t *testing.T) {
 			done <- serr
 		}()
 		waitForQueue(adm)
+		for i := 0; i < 2; i++ {
+			if _, _, oerr := c.Attest(context.Background(), id, policy); !IsOverload(oerr) {
+				t.Fatalf("arrival behind a full queue: %v, want overload", oerr)
+			}
+		}
 		clk.advance(time.Second) // the queue wait, measured on the tracer clock
 		release()
 		if serr := <-done; serr != nil {
@@ -326,6 +358,8 @@ func TestQueueWaitAlertProfileAndProbeEndToEnd(t *testing.T) {
 		t.Fatalf("alert rule %q not registered", name)
 	}
 	assertFiring("cluster-queue-wait-burn")
+	assertFiring("cluster-overload-burn")
+	assertFiring("cluster-replication-lag")
 
 	// …and triggered exactly one profile capture carrying the alert's name
 	// and an exemplar trace ID.

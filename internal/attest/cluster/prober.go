@@ -267,7 +267,6 @@ func (p *Prober) ProbeOnce(ctx context.Context, shard string) (out ProbeStatus, 
 		verdict = "accepted"
 		st.Accepted++
 		st.LastRTTSeconds = res.Elapsed
-		met.ProbeRTT.With(shard).ObserveExemplar(res.Elapsed, uint64(sp.TraceID()))
 	case err == nil:
 		verdict, reason = "rejected", res.Reason
 		st.Rejected++

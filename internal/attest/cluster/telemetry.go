@@ -11,9 +11,8 @@ import (
 // Cluster instruments, gathered in a Metrics struct so a test (or an
 // embedding process with several clusters) can record into its own
 // registry; the package default registers on the process-wide registry so
-// the PR7 observability layer — /metrics, windowed history, burn-rate
-// alerts, federation — picks the distributed tier up with no extra
-// wiring. Label cardinality is bounded by the shard count (operator
+// the observability layer — /metrics, windowed history, burn-rate alerts,
+// federation — picks the distributed tier up with no extra wiring. Label cardinality is bounded by the shard count (operator
 // configuration, not data).
 
 // queueWaitBuckets resolve admission queue waits: from the microsecond
@@ -28,28 +27,23 @@ type Metrics struct {
 	RouteTotal     *telemetry.CounterVec // cluster_route_total{shard}
 	FailoverRoutes *telemetry.Counter    // cluster_failover_routes_total
 	Promotions     *telemetry.CounterVec // cluster_promotions_total{result}
-	ReplClaims     *telemetry.Counter    // cluster_repl_claims_total
-	ReplFrames     *telemetry.Counter    // cluster_repl_frames_total
 	ReplLag        *telemetry.Gauge      // cluster_repl_lag_frames
 	InFlight       *telemetry.GaugeVec   // cluster_inflight_sessions{shard}
 	QueueDepth     *telemetry.GaugeVec   // cluster_queue_depth{shard}
 	RejectOverload *telemetry.CounterVec // cluster_reject_overload_total{shard}
 	Audits         *telemetry.CounterVec // cluster_claim_audits_total{outcome}
 
-	// Span-timed distributed latency (PR 10). QueueWait observes only
-	// sessions that actually waited in the admission queue — the
-	// uncontended fast path would otherwise bury the signal in zeros — and
-	// carries the session's trace ID as its bucket exemplar, so a p99 spike
-	// in /metrics/history links straight to a trace whose queue.wait span
-	// shows the wait.
+	// QueueWait observes only sessions that actually waited in the
+	// admission queue — the uncontended fast path would otherwise bury the
+	// signal in zeros — and carries the session's trace ID as its bucket
+	// exemplar, so a p99 spike in /metrics/history links straight to a
+	// trace whose queue.wait span shows the wait.
 	QueueWait *telemetry.Histogram // cluster_queue_wait_seconds
-	ReplAck   *telemetry.Histogram // cluster_repl_ack_seconds
 
-	// Synthetic canary probing (PR 10).
-	ProbeAttempts *telemetry.CounterVec   // cluster_probe_attempts_total{shard}
-	ProbeFailures *telemetry.CounterVec   // cluster_probe_failures_total{shard}
-	ProbeSessions *telemetry.CounterVec   // cluster_probe_sessions_total{shard,verdict}
-	ProbeRTT      *telemetry.HistogramVec // cluster_probe_rtt_seconds{shard}
+	// Synthetic canary probing.
+	ProbeAttempts *telemetry.CounterVec // cluster_probe_attempts_total{shard}
+	ProbeFailures *telemetry.CounterVec // cluster_probe_failures_total{shard}
+	ProbeSessions *telemetry.CounterVec // cluster_probe_sessions_total{shard,verdict}
 
 	// lag tracks each device group's worst live-follower lag so the gauge
 	// can report the max across groups. Setting the gauge per group let a
@@ -70,10 +64,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Requests whose ring-owner shard was down and were served by a promoted replica."),
 		Promotions: reg.CounterVec("cluster_promotions_total",
 			"Leader promotion attempts, by result (promoted, stale_refused, down, not_replica).", "result"),
-		ReplClaims: reg.Counter("cluster_repl_claims_total",
-			"Seed claims acknowledged through the replicated claim log."),
-		ReplFrames: reg.Counter("cluster_repl_frames_total",
-			"Claim-log frames streamed leader-to-follower."),
 		ReplLag: reg.Gauge("cluster_repl_lag_frames",
 			"Worst live-follower lag behind the acknowledged high-water mark, in frames (max across enrolled groups)."),
 		InFlight: reg.GaugeVec("cluster_inflight_sessions",
@@ -88,9 +78,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		QueueWait: reg.Histogram("cluster_queue_wait_seconds",
 			"Admission queue wait for sessions that queued (uncontended admissions are not observed).",
 			queueWaitBuckets),
-		ReplAck: reg.Histogram("cluster_repl_ack_seconds",
-			"Full log-before-acknowledge replication cycle: leader append through last live follower ack.",
-			queueWaitBuckets),
 
 		ProbeAttempts: reg.CounterVec("cluster_probe_attempts_total",
 			"Synthetic canary probe sessions attempted, by shard.", "shard"),
@@ -99,9 +86,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		ProbeSessions: reg.CounterVec("cluster_probe_sessions_total",
 			"Synthetic canary probe outcomes, by shard and verdict (accepted, rejected, transport, overload, error).",
 			"shard", "verdict"),
-		ProbeRTT: reg.HistogramVec("cluster_probe_rtt_seconds",
-			"Verifier-observed round-trip time of accepted canary probe sessions, by shard.",
-			nil, "shard"),
 
 		lag: make(map[int]uint64),
 	}

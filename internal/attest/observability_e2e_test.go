@@ -12,15 +12,18 @@ import (
 	"testing"
 	"time"
 
+	"pufatt/internal/core"
+	"pufatt/internal/mcu"
+	"pufatt/internal/rng"
 	"pufatt/internal/telemetry"
 )
 
 // This file holds the end-to-end observability suite: a jittery prover
-// inflates round-trips past δ, and the full v3 chain is asserted — the
-// RTT history window carries a p99 exemplar trace ID, the flight recorder
-// dumps the rejected sessions, the journal correlates the exemplar back
-// to protocol events, the burn-rate alert fires on both windows, and
-// clean traffic resolves it again.
+// inflates round-trips past δ while an impostor chip fails the tag check,
+// and the full chain is asserted — the RTT history window carries a p99
+// exemplar trace ID, the flight recorder dumps the rejected sessions, the
+// journal correlates the exemplar back to protocol events, the burn-rate
+// alerts fire on both windows, and clean traffic resolves them again.
 
 // stepClock is a hand-advanced clock shared by the history store and the
 // alert manager, so window arithmetic in these tests is exact.
@@ -130,10 +133,14 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// Phase 2 — a jittery link inflates every round-trip past δ: sessions
 	// complete but the verifier rejects on the time bound, the PUFatt
-	// signature of a proxied or overclocked prover.
+	// signature of a proxied or overclocked prover. Alongside it a
+	// different chip running the same software answers on time and fails
+	// the tag check: a third of each window's sessions are FNR-shaped.
 	jitter := NewFaultyLink(o.prover, FaultPlan{Jitter: 1, JitterSeconds: o.verifier.Delta()}, 7)
+	impostor := NewProver(o.image.Clone(), mcu.MustNewDevicePort(core.MustNewDevice(o.dev.Design(), rng.New(41), 99)), o.prover.FreqHz)
 	for i := 0; i < 5; i++ {
 		o.sessions(t, jitter, 4)
+		o.sessions(t, impostor, 2)
 		o.tick()
 	}
 
@@ -143,6 +150,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if v := o.tel.Rejects.With("time_bound").Value(); v < 20 {
 		t.Fatalf("time_bound rejections = %d, want >= 20", v)
+	}
+	if v := o.tel.Rejects.With("tag_mismatch").Value(); v != 10 {
+		t.Fatalf("tag_mismatch rejections = %d, want 10", v)
 	}
 
 	// The RTT history's latest window carries a p99 exemplar trace ID.
@@ -182,17 +192,18 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("no flight dump carries exemplar trace %s", exemplar)
 	}
 
-	// Both burn windows are saturated: the timing and failure alerts fire.
-	for _, name := range []string{"rtt-p95-burn", "session-failure-burn"} {
+	// Both burn windows are saturated: the timing, failure and FNR alerts
+	// fire.
+	for _, name := range []string{"rtt-p95-burn", "session-failure-burn", "fnr-burn"} {
 		if st := o.alert(t, name); st.State != telemetry.AlertFiring {
 			t.Fatalf("%s = %s after sustained jitter, want firing", name, st.State)
 		}
 	}
-	if v := o.tel.AlertsFiring.Value(); v < 2 {
-		t.Fatalf("attest_alerts_firing = %v, want >= 2", v)
+	if v := o.tel.AlertsFiring.Value(); v < 3 {
+		t.Fatalf("attest_alerts_firing = %v, want >= 3", v)
 	}
-	if v := o.tel.AlertTransitions.With("firing").Value(); v < 2 {
-		t.Fatalf("firing transitions = %d, want >= 2", v)
+	if v := o.tel.AlertTransitions.With("firing").Value(); v < 3 {
+		t.Fatalf("attest_alert_transitions_total{event=firing} = %d, want >= 3", v)
 	}
 
 	// The admin surface serves the same story over HTTP.
@@ -247,7 +258,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if n := o.tel.Alerts.Firing(); n != 0 {
 		t.Fatalf("%d alerts still firing after recovery", n)
 	}
-	for _, name := range []string{"rtt-p95-burn", "session-failure-burn"} {
+	for _, name := range []string{"rtt-p95-burn", "session-failure-burn", "fnr-burn"} {
 		st := o.alert(t, name)
 		if st.State != telemetry.AlertResolved {
 			t.Fatalf("%s = %s after recovery, want resolved", name, st.State)
@@ -273,8 +284,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			resolved++
 		}
 	}
-	if firing < 2 || resolved < 2 {
-		t.Fatalf("journal alert events: %d firing, %d resolved, want >= 2 each", firing, resolved)
+	if firing < 3 || resolved < 3 {
+		t.Fatalf("journal alert events: %d firing, %d resolved, want >= 3 each", firing, resolved)
 	}
 }
 

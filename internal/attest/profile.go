@@ -25,8 +25,7 @@ func (t *Telemetry) ProfileDir() string { return t.Profiler.Dir() }
 // profileOnAlert captures a profile for a rule that just transitioned to
 // firing. Runs on the alert transition hook, outside the alert manager's
 // lock; the profiler's own single-flight guard absorbs a burst of
-// simultaneous transitions (first one captures, the rest are counted as
-// suppressed).
+// simultaneous transitions (first one captures, the rest are dropped).
 func (t *Telemetry) profileOnAlert(name string) {
 	_, _, _ = t.Profiler.Capture(name, telemetry.CaptureMeta{
 		Alert: name,

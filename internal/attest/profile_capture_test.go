@@ -56,7 +56,7 @@ func TestAlertTriggersProfileCapture(t *testing.T) {
 
 	// Exactly one capture per firing transition, keyed by rule name.
 	if v := o.tel.ProfileCaptures.With("rtt-p95-burn").Value(); v != 1 {
-		t.Fatalf("rtt-p95-burn captures = %d, want exactly 1", v)
+		t.Fatalf("telemetry_profile_captures_total{trigger=rtt-p95-burn} = %d, want exactly 1", v)
 	}
 	var capture telemetry.ProfileCapture
 	found := false

@@ -55,6 +55,7 @@ func TestRollingReenrollLifecycle(t *testing.T) {
 	f, st, twin, dir := reenrollFixture(t, 90, 16)
 	gate := &EpochGate{}
 	f.verifier.Gate = gate
+	T := newFleetTelemetry()
 	ren := &Reenroller{
 		Store:         st,
 		Device:        twin,
@@ -63,6 +64,7 @@ func TestRollingReenrollLifecycle(t *testing.T) {
 		SeedsPerEpoch: 12,
 		Gate:          gate,
 		OnCutover:     cutoverToLiveDevice(f),
+		Telemetry:     T,
 	}
 
 	// The link drops the first three responses outright (then heals): each
@@ -101,6 +103,11 @@ func TestRollingReenrollLifecycle(t *testing.T) {
 	run("during-reenroll")
 	if err := ren.Wait(); err != nil {
 		t.Fatalf("re-enrollment failed: %v", err)
+	}
+	for phase, want := range map[string]uint64{"triggered": 1, "staged": 1, "committed": 1, "failed": 0} {
+		if got := T.Reenrolls.With(phase).Value(); got != want {
+			t.Fatalf("attest_reenrollments_total{phase=%s} = %d, want %d", phase, got, want)
+		}
 	}
 
 	if st.Epoch() != 1 {
@@ -168,15 +175,28 @@ func TestExhaustionTypedErrorAndRecovery(t *testing.T) {
 		t.Fatalf("retrying an exhausted budget: attempts=%d err=%v", attempts, rerr)
 	}
 
+	// A run that cannot stage (no seeds to measure) fails and leaves the
+	// exhausted epoch in place; the operator's retry with a real seed set
+	// recovers.
+	T := newFleetTelemetry()
 	ren := &Reenroller{
-		Store:         st,
-		Device:        twin,
-		DeviceName:    "reenroll-dev",
-		SeedsPerEpoch: 4,
-		OnCutover:     cutoverToLiveDevice(f),
+		Store:      st,
+		Device:     twin,
+		DeviceName: "reenroll-dev",
+		OnCutover:  cutoverToLiveDevice(f),
+		Telemetry:  T,
 	}
+	if err := ren.Run(); err == nil || st.Epoch() != 0 {
+		t.Fatalf("zero-seed re-enrollment: err=%v epoch=%d, want an error at epoch 0", err, st.Epoch())
+	}
+	ren.SeedsPerEpoch = 4
 	if err := ren.Run(); err != nil {
 		t.Fatalf("recovery re-enrollment: %v", err)
+	}
+	for phase, want := range map[string]uint64{"failed": 1, "staged": 1, "committed": 1} {
+		if got := T.Reenrolls.With(phase).Value(); got != want {
+			t.Fatalf("attest_reenrollments_total{phase=%s} = %d, want %d", phase, got, want)
+		}
 	}
 	if st.Epoch() != 1 || st.Remaining() != 4 {
 		t.Fatalf("after recovery: epoch=%d remaining=%d", st.Epoch(), st.Remaining())

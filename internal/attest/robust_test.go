@@ -77,7 +77,9 @@ func TestFrameValidation(t *testing.T) {
 // --- time trailer validation (the adversary-influenced field) ---
 
 func TestTimeTrailerRejectsHostileValues(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-9} {
+	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-9}
+	before := tel.FramesRejected.With("time").Value()
+	for _, bad := range hostile {
 		// An adversarial prover can put any bit pattern on the wire:
 		// bypass writeTime's own validation and craft the frame directly.
 		var body [8]byte
@@ -93,6 +95,11 @@ func TestTimeTrailerRejectsHostileValues(t *testing.T) {
 		if err := writeTime(io.Discard, bad); !errors.Is(err, ErrBadTime) {
 			t.Errorf("writeTime(%v) err = %v, want ErrBadTime", bad, err)
 		}
+	}
+	// Each decoded hostile trailer is a counted frame rejection; the
+	// encoder's refusals never reach the wire and are not.
+	if got := tel.FramesRejected.With("time").Value() - before; got != uint64(len(hostile)) {
+		t.Errorf("attest_frames_rejected_total{reason=time} delta = %d, want %d", got, len(hostile))
 	}
 	var buf bytes.Buffer
 	if err := writeTime(&buf, 0.125); err != nil {
@@ -186,6 +193,7 @@ func TestRetryDoSemantics(t *testing.T) {
 	t.Run("transport retried to budget", func(t *testing.T) {
 		slept = nil
 		calls := 0
+		started, exhausted, backoffs := tel.RetryAttempts.Value(), tel.RetryExhausted.Value(), tel.Backoff.Count()
 		attempts, err := p.Do(func(int) error { calls++; return Transport(ErrLinkDrop) })
 		if attempts != 3 || calls != 3 {
 			t.Fatalf("attempts = %d, calls = %d, want 3", attempts, calls)
@@ -196,9 +204,19 @@ func TestRetryDoSemantics(t *testing.T) {
 		if len(slept) != 2 {
 			t.Fatalf("slept %d times, want 2", len(slept))
 		}
+		if got := tel.RetryAttempts.Value() - started; got != 3 {
+			t.Fatalf("retry_attempts_total delta = %d, want 3", got)
+		}
+		if got := tel.RetryExhausted.Value() - exhausted; got != 1 {
+			t.Fatalf("retry_exhausted_total delta = %d, want 1", got)
+		}
+		if got := tel.Backoff.Count() - backoffs; got != 2 {
+			t.Fatalf("attest_backoff_seconds observations = %d, want 2", got)
+		}
 	})
 	t.Run("non-transport not retried", func(t *testing.T) {
 		calls := 0
+		exhausted := tel.RetryExhausted.Value()
 		deviceErr := errors.New("mcu: budget exhausted")
 		attempts, err := p.Do(func(int) error { calls++; return deviceErr })
 		if attempts != 1 || calls != 1 {
@@ -206,6 +224,9 @@ func TestRetryDoSemantics(t *testing.T) {
 		}
 		if !errors.Is(err, deviceErr) {
 			t.Fatalf("err = %v", err)
+		}
+		if got := tel.RetryExhausted.Value() - exhausted; got != 0 {
+			t.Fatalf("terminal error counted as %d exhausted retry loops", got)
 		}
 	})
 	t.Run("success stops", func(t *testing.T) {

@@ -475,10 +475,12 @@ func readTime(r io.Reader) (float64, error) {
 		return 0, err
 	}
 	if len(body) != 8 {
+		tel.FramesRejected.With("time").Inc()
 		return 0, fmt.Errorf("%w: trailer of %d bytes", ErrBadTime, len(body))
 	}
 	seconds := math.Float64frombits(binary.LittleEndian.Uint64(body))
 	if err := validTime(seconds); err != nil {
+		tel.FramesRejected.With("time").Inc()
 		return 0, err
 	}
 	return seconds, nil

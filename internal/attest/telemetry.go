@@ -14,14 +14,16 @@ import (
 // tests (a fresh Telemetry over a fresh registry gives a test exact
 // counters with no cross-test bleed).
 //
-// Metric name / label conventions (see DESIGN.md "Observability"):
+// Metric name / label conventions (see DESIGN.md "Metrics"):
 //
 //   - names are snake_case with a unit or _total suffix;
-//   - attestation-layer metrics carry the attest_ prefix except the two
-//     protocol-wide names the operators alert on (retry_attempts_total,
-//     quarantine_transitions_total);
+//   - attestation-layer metrics carry the attest_ prefix except the
+//     protocol-wide retry_* and quarantine_transitions_total names;
 //   - low-cardinality labels only: fault class, frame type, rejection
-//     reason class, sweep outcome, quarantine transition.
+//     reason class, sweep outcome, quarantine transition;
+//   - every family has a consumer (an alert rule, the benchmark or a test
+//     that asserts on it), listed in the root package's
+//     TestEveryMetricHasAConsumer.
 
 // Telemetry bundles the attestation layer's instruments over one registry.
 type Telemetry struct {
@@ -55,7 +57,6 @@ type Telemetry struct {
 
 	// Frame codec.
 	FramesSent     *telemetry.CounterVec // attest_frames_sent_total{type}
-	FramesReceived *telemetry.CounterVec // attest_frames_received_total{type}
 	FramesRejected *telemetry.CounterVec // attest_frames_rejected_total{reason}
 	TraceHeaders   *telemetry.CounterVec // attest_trace_headers_total{event}
 
@@ -79,8 +80,8 @@ type Telemetry struct {
 	// Fault injection.
 	FaultsInjected *telemetry.CounterVec // attest_faults_injected_total{class}
 
-	// Epoch lifecycle (PR 6): re-enrollment pipeline phases and the
-	// seed-budget watermark gauge the health registry maintains.
+	// Epoch lifecycle: re-enrollment pipeline phases and the seed-budget
+	// watermark gauge the health registry maintains.
 	Reenrolls        *telemetry.CounterVec // attest_reenrollments_total{phase}
 	BudgetLowDevices *telemetry.Gauge      // attest_seed_budget_low_devices
 
@@ -93,16 +94,12 @@ type Telemetry struct {
 	// Device health.
 	StatusTransitions *telemetry.CounterVec // attest_device_status_transitions_total{to}
 
-	// SLO burn-rate alerting (PR 7).
+	// SLO burn-rate alerting.
 	AlertTransitions *telemetry.CounterVec // attest_alert_transitions_total{event}
 	AlertsFiring     *telemetry.Gauge      // attest_alerts_firing
 
-	// Continuous profiling (PR 10): completed captures by trigger, and
-	// triggers dropped by the single-flight guard (concurrent CPU profiles
-	// cannot stack, so a suppressed trigger is a counted signal, not an
-	// error).
-	ProfileCaptures   *telemetry.CounterVec // telemetry_profile_captures_total{trigger}
-	ProfileSuppressed *telemetry.Counter    // telemetry_profile_suppressed_total
+	// Continuous profiling: completed captures by trigger.
+	ProfileCaptures *telemetry.CounterVec // telemetry_profile_captures_total{trigger}
 
 	// Flight-recorder state (see flight.go). The dump sequence number is
 	// process-wide (flight.go), not per-bundle, so bundles sharing a
@@ -126,8 +123,6 @@ func NewTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) *Telemetry 
 
 		FramesSent: reg.CounterVec("attest_frames_sent_total",
 			"Protocol frames written, by frame type.", "type"),
-		FramesReceived: reg.CounterVec("attest_frames_received_total",
-			"Protocol frames read and validated, by frame type.", "type"),
 		FramesRejected: reg.CounterVec("attest_frames_rejected_total",
 			"Frames rejected by the codec's validation, by reason.", "reason"),
 		TraceHeaders: reg.CounterVec("attest_trace_headers_total",
@@ -182,13 +177,11 @@ func NewTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) *Telemetry 
 
 		ProfileCaptures: reg.CounterVec("telemetry_profile_captures_total",
 			"Completed profile-ring captures, by trigger (periodic, manual, or the firing alert's name).", "trigger"),
-		ProfileSuppressed: reg.Counter("telemetry_profile_suppressed_total",
-			"Profile triggers dropped by the single-flight guard while a capture was in progress."),
 	}
 	t.History = telemetry.NewTimeSeries(reg, 0, 0)
 	t.Runtime = telemetry.NewRuntimeCollector(reg)
 	t.Profiler = telemetry.NewProfiler()
-	t.Profiler.SetCaptureCounters(t.ProfileCaptures, t.ProfileSuppressed)
+	t.Profiler.SetCaptureCounters(t.ProfileCaptures)
 	// The tracer and journal cannot self-register (they may outlive any one
 	// registry), so this bundle attaches their drop tallies; the most
 	// recently built bundle owns a shared tracer's counter.

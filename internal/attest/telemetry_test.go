@@ -77,10 +77,10 @@ func TestQuarantineLifecycleTelemetry(t *testing.T) {
 		t.Fatalf("quarantined = %v, want [1]", fleet.Quarantined())
 	}
 	if got := transitions(transitionEnter); got != 1 {
-		t.Fatalf("enter transitions = %d, want 1", got)
+		t.Fatalf("quarantine_transitions_total{transition=enter} = %d, want 1", got)
 	}
 	if got := T.QuarantineOpen.Value(); got != 1 {
-		t.Fatalf("open gauge = %v, want 1", got)
+		t.Fatalf("attest_quarantine_open_nodes = %v, want 1", got)
 	}
 
 	// Still broken: the half-open probe fails, quarantine holds.
@@ -132,7 +132,7 @@ func TestQuarantineLifecycleTelemetry(t *testing.T) {
 
 	// Per-node outcome counters saw every sweep.
 	if got := T.SweepNodes.With(outcomeUnreachable).Value(); got != uint64(2*DefaultQuarantineThreshold) {
-		t.Errorf("unreachable outcomes = %d, want %d", got, 2*DefaultQuarantineThreshold)
+		t.Errorf("attest_sweep_nodes_total{outcome=unreachable} = %d, want %d", got, 2*DefaultQuarantineThreshold)
 	}
 	if got := T.SweepNodes.With(outcomeQuarantined).Value(); got != 1 {
 		t.Errorf("quarantined outcomes = %d, want 1", got)
@@ -164,7 +164,7 @@ func TestSweepStats(t *testing.T) {
 		t.Fatalf("attest_sweeps_total = %d, want 1", got)
 	}
 	if got := T.SweepDuration.Count(); got != 1 {
-		t.Fatalf("sweep duration observations = %d, want 1", got)
+		t.Fatalf("attest_sweep_duration_seconds observations = %d, want 1", got)
 	}
 }
 
@@ -214,7 +214,7 @@ func TestFaultTelemetryCounters(t *testing.T) {
 				t.Fatal("certain fault did not surface as an error")
 			}
 			if got := tel.FaultsInjected.With(class.String()).Value() - before; got != 1 {
-				t.Fatalf("faults_injected{%s} delta = %d, want 1", class, got)
+				t.Fatalf("attest_faults_injected_total{class=%s} delta = %d, want 1", class, got)
 			}
 		})
 	}

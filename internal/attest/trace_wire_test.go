@@ -121,7 +121,7 @@ func TestCorruptTraceExtKeepsPayload(t *testing.T) {
 		t.Fatalf("corrupt ext yielded a trace context: %+v", tc)
 	}
 	if after := tel.TraceHeaders.With("corrupt").Value(); after != before+1 {
-		t.Fatalf("corrupt-header counter %d → %d, want +1", before, after)
+		t.Fatalf("attest_trace_headers_total{event=corrupt} %d → %d, want +1", before, after)
 	}
 }
 
@@ -140,12 +140,16 @@ func TestMalformedTraceExtRejected(t *testing.T) {
 	body := make([]byte, 6)
 	binary.LittleEndian.PutUint16(body[0:], 500)
 	frame := rawFrame(frameMagic, frameVersionTraced, frameChallenge, body, crc32.ChecksumIEEE(body))
+	before := tel.FramesRejected.With("trace_ext").Value()
 	_, _, err := ReadChallengeTraced(bytes.NewReader(frame))
 	if err == nil || !strings.Contains(err.Error(), "extension") {
 		t.Fatalf("overrunning ext err = %v, want ErrTraceExt", err)
 	}
 	if !IsTransport(err) {
 		t.Fatalf("ErrTraceExt not transport-class: %v", err)
+	}
+	if got := tel.FramesRejected.With("trace_ext").Value() - before; got != 1 {
+		t.Fatalf("attest_frames_rejected_total{reason=trace_ext} delta = %d, want 1", got)
 	}
 }
 
@@ -360,8 +364,20 @@ func TestFlightDumpCarriesSessionTrace(t *testing.T) {
 	if len(T.Tracer.ByTrace(id)) == 0 {
 		t.Fatalf("trace %s not present in the tracer ring", traceStr)
 	}
-	if T.Journal.Dropped() != 0 && T.EventsDropped.Value() != T.Journal.Dropped() {
-		t.Fatal("journal drop counter not mirrored to the registry metric")
+	// Overflowing the bundle's rings must surface in its drop counters:
+	// one event past the journal's capacity, and a few more sweeps past
+	// the 8-root tracer ring.
+	for i := 0; i <= telemetry.DefaultJournalCapacity; i++ {
+		T.Journal.Append(telemetry.Event{Kind: telemetry.EventRetry, Device: "node-4"})
+	}
+	if d := T.Journal.Dropped(); d == 0 || T.EventsDropped.Value() != d {
+		t.Fatalf("telemetry_journal_events_dropped_total = %d, journal dropped %d; want equal and nonzero", T.EventsDropped.Value(), d)
+	}
+	for i := 0; i < 8; i++ {
+		fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 1})
+	}
+	if d := T.Tracer.Dropped(); d == 0 || T.SpansDropped.Value() != d {
+		t.Fatalf("telemetry_spans_dropped_total = %d, tracer dropped %d; want equal and nonzero", T.SpansDropped.Value(), d)
 	}
 }
 
@@ -436,7 +452,7 @@ func TestRTTInflationDrivesDeviceSuspect(t *testing.T) {
 		t.Fatalf("transition %v → %v, want ok → suspect", tr.From, tr.To)
 	}
 	if T.StatusTransitions.With("suspect").Value() != 1 {
-		t.Fatalf("status transition counter = %d, want 1", T.StatusTransitions.With("suspect").Value())
+		t.Fatalf("attest_device_status_transitions_total{to=suspect} = %d, want 1", T.StatusTransitions.With("suspect").Value())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pufatt/internal/delay"
 	"pufatt/internal/rng"
@@ -31,11 +30,11 @@ import (
 // tail latency on uneven netlists.
 const batchChunk = 32
 
-// BatchEvaluator fans challenge batches of one device across a bounded
-// worker pool of cloned simulation engines. Create one per device (or use
-// the Device.RawResponses family, which manages one lazily); it must not be
-// used concurrently with other evaluations on the same device, but its own
-// workers coordinate internally.
+// BatchEvaluator fans challenge batches of one device across a bounded set
+// of workers, each with its own cloned simulation engine. Create one per
+// device (or use the Device.RawResponses family, which manages one
+// lazily); it must not be used concurrently with other evaluations on the
+// same device, but its own workers coordinate internally.
 //
 // Which physics engine runs underneath — scalar gate-level, 64-lane
 // bitsliced gate-level (the default), or the linear-delay fast model — is
@@ -43,17 +42,35 @@ const batchChunk = 32
 // gate-level engines are bit-identical; all three honour the same
 // determinism contract (per-item noise streams, any worker count).
 type BatchEvaluator struct {
-	dev   *Device
-	pool  *sim.Pool       // scalar engines (EngineGate)
-	spool *sim.SlicedPool // bitsliced engines (EngineBitslice), lazy
+	dev *Device
+	// One engine per worker and engine kind, grown on first need and
+	// pointed at the batch's delay table at the start of every batch.
+	gate   []*sim.Engine       // EngineGate
+	sliced []*sim.SlicedEngine // EngineBitslice
 }
 
 // NewBatchEvaluator returns a batch evaluator over the device.
 func NewBatchEvaluator(dev *Device) *BatchEvaluator {
-	return &BatchEvaluator{
-		dev:  dev,
-		pool: sim.NewPool(dev.design.datapath.Net, dev.tables[dev.cond]),
+	return &BatchEvaluator{dev: dev}
+}
+
+// workerEngines grows engs to at least n engines (the first from fresh,
+// the rest cloned from it: shared netlist and program, private scratch)
+// and sets the first n to the batch's delay table.
+func workerEngines[E interface {
+	Clone() E
+	SetDelays(delay.Table)
+}](engs []E, n int, tab delay.Table, fresh func() E) []E {
+	if len(engs) == 0 {
+		engs = append(engs, fresh())
 	}
+	for len(engs) < n {
+		engs = append(engs, engs[0].Clone())
+	}
+	for _, e := range engs[:n] {
+		e.SetDelays(tab)
+	}
+	return engs
 }
 
 // batcher returns the device's lazily created batch evaluator.
@@ -172,7 +189,6 @@ func (be *BatchEvaluator) run(challenges, dst [][]uint8, workers, votes int, noi
 	}
 	noiseBase := dev.noise.Sub(fmt.Sprintf("batch/%d", epoch))
 
-	start := time.Now()
 	switch engine {
 	case EngineBitslice:
 		be.runSliced(challenges, dst, workers, votes, noisy, jitter, noiseBase, tab)
@@ -183,15 +199,7 @@ func (be *BatchEvaluator) run(challenges, dst [][]uint8, workers, votes int, noi
 	}
 
 	dev.queries += uint64(len(challenges) * votes)
-	batchBatches.Inc()
 	batchItems.Add(uint64(len(challenges)))
-	if elapsed := time.Since(start).Seconds(); elapsed > 0 && engine != EngineLinear {
-		// Effective lane-evals: one gate-level pass per item either way —
-		// the bitsliced engine just evaluates up to 64 items per block, so
-		// items × gates stays the effective-work numerator across engines.
-		gates := float64(len(challenges)) * float64(be.pool.GatesPerRun())
-		batchGateEvalRate.Set(gates / elapsed)
-	}
 	return dst
 }
 
@@ -200,7 +208,9 @@ func (be *BatchEvaluator) run(challenges, dst [][]uint8, workers, votes int, noi
 func (be *BatchEvaluator) runGate(challenges, dst [][]uint8, workers, votes int, noisy bool, jitter float64, noiseBase *rng.Source, tab delay.Table) {
 	dev := be.dev
 	bits := dev.design.ResponseBits()
-	be.pool.SetDelays(tab)
+	be.gate = workerEngines(be.gate, workers, tab, func() *sim.Engine {
+		return sim.NewEngine(dev.design.datapath.Net, tab)
+	})
 	var next atomic.Int64
 	work := func(eng *sim.Engine) {
 		var noise rng.Source
@@ -226,32 +236,18 @@ func (be *BatchEvaluator) runGate(challenges, dst [][]uint8, workers, votes int,
 	}
 	if workers == 1 {
 		// Sequential fast path: same item→noise mapping, no goroutines.
-		eng := be.pool.Get()
-		work(eng)
-		be.pool.Put(eng)
+		work(be.gate[0])
 	} else {
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for _, eng := range be.gate[:workers] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				batchWorkersBusy.Add(1)
-				defer batchWorkersBusy.Add(-1)
-				eng := be.pool.Get()
-				defer be.pool.Put(eng)
 				work(eng)
 			}()
 		}
 		wg.Wait()
 	}
-}
-
-// slicedPool returns the lazily created bitsliced engine pool.
-func (be *BatchEvaluator) slicedPool() *sim.SlicedPool {
-	if be.spool == nil {
-		be.spool = sim.NewSlicedPool(be.dev.design.datapath.Net, be.dev.tables[be.dev.cond])
-	}
-	return be.spool
 }
 
 // runSliced is the bitsliced fan-out: workers claim whole 64-lane blocks,
@@ -267,8 +263,9 @@ func (be *BatchEvaluator) runSliced(challenges, dst [][]uint8, workers, votes in
 	if workers > blocks {
 		workers = blocks
 	}
-	pool := be.slicedPool()
-	pool.SetDelays(tab)
+	be.sliced = workerEngines(be.sliced, workers, tab, func() *sim.SlicedEngine {
+		return sim.NewSlicedEngine(dev.design.datapath.Net, tab)
+	})
 	var next atomic.Int64
 	work := func(eng *sim.SlicedEngine) {
 		var noise rng.Source
@@ -312,25 +309,18 @@ func (be *BatchEvaluator) runSliced(challenges, dst [][]uint8, workers, votes in
 		}
 	}
 	if workers == 1 {
-		eng := pool.Get()
-		work(eng)
-		pool.Put(eng)
+		work(be.sliced[0])
 	} else {
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for _, eng := range be.sliced[:workers] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				batchWorkersBusy.Add(1)
-				defer batchWorkersBusy.Add(-1)
-				eng := pool.Get()
-				defer pool.Put(eng)
 				work(eng)
 			}()
 		}
 		wg.Wait()
 	}
-	bitsliceLanesBusy.Set(float64(len(challenges)) / float64(blocks))
 }
 
 // extractLaneDeltas mirrors Device.arrivalDelta per lane, in the same
@@ -414,8 +404,6 @@ func (be *BatchEvaluator) runLinear(challenges, dst [][]uint8, workers, votes in
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				batchWorkersBusy.Add(1)
-				defer batchWorkersBusy.Add(-1)
 				work()
 			}()
 		}

@@ -137,25 +137,31 @@ func TestBatchMajorityReducesNoise(t *testing.T) {
 // The batch honours the current operating corner and per-device extra skew,
 // like the sequential path.
 func TestBatchRespectsCornerAndSkew(t *testing.T) {
-	dev := twinDevice(t, 111)
-	ch := batchChallenges(dev.Design(), 50, 112)
-	nominal := dev.NoiselessResponses(ch, 2)
-	dev.SetConditions(delay.Conditions{VddScale: 0.90, TempC: 120})
-	corner := dev.NoiselessResponses(ch, 2)
-	for k := range ch {
-		want := dev.NoiselessResponse(ch[k])
-		if !bytes.Equal(corner[k], want) {
-			t.Fatalf("corner row %d: batch %v, sequential %v", k, corner[k], want)
-		}
+	for _, engine := range []EvalEngine{EngineGate, EngineBitslice} {
+		t.Run(engine.String(), func(t *testing.T) {
+			dev := twinDevice(t, 111)
+			dev.SetEvalEngine(engine)
+			ch := batchChallenges(dev.Design(), 50, 112)
+			nominal := dev.NoiselessResponses(ch, 2)
+			// The second batch reuses the evaluator's worker engines, which
+			// must pick up the corner's delay table.
+			dev.SetConditions(delay.Conditions{VddScale: 0.90, TempC: 120})
+			corner := dev.NoiselessResponses(ch, 2)
+			for k := range ch {
+				want := dev.NoiselessResponse(ch[k])
+				if !bytes.Equal(corner[k], want) {
+					t.Fatalf("corner row %d: batch %v, sequential %v", k, corner[k], want)
+				}
+			}
+			changed := 0
+			for k := range ch {
+				changed += stats.HammingDistance(nominal[k], corner[k])
+			}
+			if changed == 0 {
+				t.Log("corner shift flipped no bits in this sample (allowed, but unusual)")
+			}
+		})
 	}
-	changed := 0
-	for k := range ch {
-		changed += stats.HammingDistance(nominal[k], corner[k])
-	}
-	if changed == 0 {
-		t.Log("corner shift flipped no bits in this sample (allowed, but unusual)")
-	}
-	dev.SetConditions(delay.Nominal())
 }
 
 // Reused dst matrices must be filled in place without reallocation.

@@ -85,7 +85,6 @@ func (p *Pipeline) Query(seed uint64) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	pufQueries.Inc()
 	return &Output{Z: z, Helpers: helpers}, nil
 }
 

@@ -2,31 +2,16 @@ package core
 
 import "pufatt/internal/telemetry"
 
-// PUF-pipeline instruments. The ECC correction count is the reliability
-// signal of the reverse fuzzy extractor: corrected bits per recovery track
-// the device's raw bit-error rate, and a drift upward is aging or an
-// environmental shift long before recoveries start failing outright.
+// PUF-pipeline instruments, read by the benchmark as per-op layer counts.
+// The ECC correction count is the reliability signal of the reverse fuzzy
+// extractor: corrected bits per recovery track the device's raw bit-error
+// rate, and a drift upward is aging or an environmental shift long before
+// recoveries start failing outright.
 var (
-	pufQueries = telemetry.Default().Counter("puf_queries_total",
-		"Prover-side PUF() invocations (eight raw responses each).")
 	eccRecoveries = telemetry.Default().Counter("ecc_recoveries_total",
 		"Verifier-side sketch recoveries performed.")
 	eccCorrectedBits = telemetry.Default().Counter("ecc_corrected_bits_total",
 		"Raw response bits corrected by the secure sketch during recovery.")
-)
-
-// Batch-evaluation instruments (batch.go). The gate-eval rate gauge is the
-// headline throughput number of the parallel engine; workers-busy exposes
-// fan-out saturation at a glance.
-var (
-	batchBatches = telemetry.Default().Counter("puf_batches_total",
-		"Batch evaluations dispatched through the parallel engine.")
 	batchItems = telemetry.Default().Counter("puf_batch_items_total",
 		"Challenges evaluated through the parallel batch engine.")
-	batchWorkersBusy = telemetry.Default().Gauge("puf_batch_workers_busy",
-		"Batch worker goroutines currently evaluating.")
-	batchGateEvalRate = telemetry.Default().Gauge("puf_batch_gate_evals_per_sec",
-		"Effective gate evaluations per second achieved by the most recent gate-level batch (lane-evals under bitslicing; unset for the linear fast model).")
-	bitsliceLanesBusy = telemetry.Default().Gauge("puf_bitslice_lanes_busy",
-		"Average active lanes per 64-lane block in the most recent bitsliced batch.")
 )

@@ -49,7 +49,6 @@ func Enroll(dev *core.Device, seeds []uint64) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	CountEnrolled(enr.Len())
 	return &Database{led: NewLedger(enr)}, nil
 }
 
@@ -77,7 +76,6 @@ func (db *Database) CommitEpoch(enr *Enrollment) error {
 	if err := db.led.Apply(Frame{Transition: true, From: db.led.Epoch(), To: enr.Epoch()}); err != nil {
 		return err
 	}
-	CountEnrolled(enr.Len())
 	return db.led.Install(enr)
 }
 

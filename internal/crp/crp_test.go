@@ -221,7 +221,7 @@ func TestNextUnusedCountsNoSpuriousReplays(t *testing.T) {
 		t.Fatalf("NextUnused = %d, %v; want 4", seed, err)
 	}
 	if got := claims.With("replay").Value(); got != before {
-		t.Errorf("skipping used seeds counted %d spurious replays", got-before)
+		t.Errorf("skipping used seeds counted %d spurious crp_claims_total{result=replay}", got-before)
 	}
 	if err := db.Claim(4); !errors.Is(err, ErrSeedUsed) {
 		t.Fatalf("re-claim: %v", err)

@@ -181,6 +181,5 @@ func (l *Ledger) Reference(seed uint64, j int) ([]uint8, error) {
 	case l.enr.refs == nil:
 		return nil, errors.New("crp: claim-only enrollment holds no references")
 	}
-	referenceLookups.Inc()
 	return ecc.WordToBits(l.enr.refs[i*obfuscate.ResponsesPerOutput+j], l.enr.bits), nil
 }

@@ -103,11 +103,15 @@ func TestKillBeforeTransitionDiscardsStaging(t *testing.T) {
 	}
 	st.Close() // kill: staged but never committed
 
+	discarded := epochStagingsDiscarded.Value()
 	re, err := Open(dir, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if got := epochStagingsDiscarded.Value() - discarded; got != 1 {
+		t.Fatalf("crpstore_epoch_stagings_discarded_total delta = %d, want 1", got)
+	}
 	if re.Epoch() != 0 || re.Retired() {
 		t.Fatalf("uncommitted cutover changed the store: epoch=%d retired=%v", re.Epoch(), re.Retired())
 	}
@@ -146,11 +150,15 @@ func TestKillAfterTransitionCompletesCutover(t *testing.T) {
 	// reconstructed on disk.)
 	appendWAL(t, dir, crp.TransitionFrame(0, 1))
 
+	recovered := epochRecoveries.Value()
 	re, err := Open(dir, testOptions())
 	if err != nil {
 		t.Fatalf("recovery from committed transition failed: %v", err)
 	}
 	defer re.Close()
+	if got := epochRecoveries.Value() - recovered; got != 1 {
+		t.Fatalf("crpstore_epoch_recoveries_total delta = %d, want 1", got)
+	}
 	if re.Epoch() != 1 || re.Retired() {
 		t.Fatalf("epoch=%d retired=%v, want live epoch 1", re.Epoch(), re.Retired())
 	}
@@ -185,6 +193,7 @@ func TestKillAfterTransitionStagingLostRetires(t *testing.T) {
 	st.Close()
 	appendWAL(t, dir, crp.TransitionFrame(0, 1)) // committed cutover, no staging file
 
+	retiredOpens := epochRetiredOpens.Value()
 	re, err := Open(dir, testOptions())
 	if err != nil {
 		t.Fatalf("retired store must open (observably), not error: %v", err)
@@ -219,6 +228,9 @@ func TestKillAfterTransitionStagingLostRetires(t *testing.T) {
 	if !re2.Retired() {
 		t.Fatal("retirement lost on second reopen")
 	}
+	if got := epochRetiredOpens.Value() - retiredOpens; got != 2 {
+		t.Fatalf("crpstore_epoch_retired_opens_total delta = %d after two retired opens, want 2", got)
+	}
 
 	// Recovery: re-enroll at the awaited epoch. Budget returns, old seeds
 	// stay dead, and the recovered state is durable.
@@ -241,6 +253,9 @@ func TestKillAfterTransitionStagingLostRetires(t *testing.T) {
 	defer re3.Close()
 	if re3.Epoch() != 1 || re3.Remaining() != 5 {
 		t.Fatalf("recovered enrollment not durable: epoch=%d remaining=%d", re3.Epoch(), re3.Remaining())
+	}
+	if got := epochRetiredOpens.Value() - retiredOpens; got != 2 {
+		t.Fatalf("recovered store counted as a retired open: delta = %d, want 2", got)
 	}
 }
 
@@ -350,6 +365,7 @@ func TestDiscardAbandonsStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	discarded := epochStagingsDiscarded.Value()
 	if err := staged.Discard(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,9 +378,12 @@ func TestDiscardAbandonsStaging(t *testing.T) {
 	if err := staged.Commit(); err == nil {
 		t.Fatal("committing a discarded staging succeeded")
 	}
-	// Double Discard is a no-op, not an error.
+	// Double Discard is a no-op, not an error, and is counted once.
 	if err := staged.Discard(); err != nil {
 		t.Fatal(err)
+	}
+	if got := epochStagingsDiscarded.Value() - discarded; got != 1 {
+		t.Fatalf("crpstore_epoch_stagings_discarded_total delta = %d, want 1", got)
 	}
 }
 

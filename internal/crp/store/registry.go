@@ -17,9 +17,7 @@ import (
 // per chip under a common root, opened lazily on first use and cached in a
 // bounded LRU of hot stores. Device lookups are sharded — each shard owns
 // an RWMutex over its slice of the id space — so a sweep claiming seeds
-// for thousands of devices concurrently contends only within a shard, and
-// the contention that does happen is counted
-// (crpstore_shard_contention_total).
+// for thousands of devices concurrently contends only within a shard.
 type Registry struct {
 	root   string
 	opts   Options
@@ -81,30 +79,13 @@ func (r *Registry) maxPerShard() int {
 	return per
 }
 
-// lock acquires the shard exclusively, counting acquisitions that had to
-// wait (the shard-contention telemetry the LRU sizing is tuned against).
-func (sh *regShard) lock() {
-	if !sh.mu.TryLock() {
-		shardContention.Inc()
-		sh.mu.Lock()
-	}
-}
-
-// rlock is lock's shared-mode counterpart for the hot lookup path.
-func (sh *regShard) rlock() {
-	if !sh.mu.TryRLock() {
-		shardContention.Inc()
-		sh.mu.RLock()
-	}
-}
-
 // Device returns device id's open store, loading its snapshot (and
 // replaying its WAL) on first use. The returned handle may later be closed
 // by LRU eviction; callers that hold stores across long stretches should
 // use Handle, which re-fetches transparently.
 func (r *Registry) Device(id int) (*Store, error) {
 	sh := r.shard(id)
-	sh.rlock()
+	sh.mu.RLock()
 	e := sh.open[id]
 	if e != nil {
 		e.lastUsed.Store(sh.clock.Add(1))
@@ -114,7 +95,7 @@ func (r *Registry) Device(id int) (*Store, error) {
 		return e.st, nil
 	}
 
-	sh.lock()
+	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e := sh.open[id]; e != nil { // lost the load race: reuse the winner's
 		e.lastUsed.Store(sh.clock.Add(1))
@@ -150,7 +131,6 @@ func (r *Registry) insertLocked(sh *regShard, id int, st *Store) {
 		}
 		_ = sh.open[victim].st.Close()
 		delete(sh.open, victim)
-		evictions.Inc()
 	}
 }
 
@@ -160,7 +140,7 @@ func (r *Registry) insertLocked(sh *regShard, id int, st *Store) {
 func (r *Registry) Enroll(dev *core.Device, seeds []uint64, workers int) (*Store, error) {
 	id := dev.ChipID()
 	sh := r.shard(id)
-	sh.lock()
+	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, open := sh.open[id]; open {
 		return nil, fmt.Errorf("crpstore: device %d already enrolled", id)
@@ -330,7 +310,7 @@ func (r *Registry) Close() error {
 	var first error
 	for i := range r.shards {
 		sh := &r.shards[i]
-		sh.lock()
+		sh.mu.Lock()
 		for id, e := range sh.open {
 			if err := e.st.Close(); err != nil && first == nil {
 				first = err

@@ -222,7 +222,6 @@ func writeSnapshotFile(path string, s *snapshot, durable bool) error {
 	if durable {
 		syncDir(dir) // make the rename itself durable
 	}
-	snapshotWrites.Inc()
 	return nil
 }
 
@@ -237,6 +236,5 @@ func readSnapshotFile(path string) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crpstore: %s: %w", path, err)
 	}
-	snapshotLoads.Inc()
 	return s, nil
 }

@@ -190,7 +190,6 @@ func openWith(dir string, snap *snapshot, enr *crp.Enrollment, opts Options) (*S
 	if led.Retired() {
 		epochRetiredOpens.Inc()
 	}
-	openStores.Add(1)
 	return &Store{dir: dir, opts: opts, enr: enr, led: led, wal: w, walRecords: len(frames)}, nil
 }
 
@@ -218,7 +217,6 @@ func create(dir string, enr *crp.Enrollment, opts Options) (*Store, error) {
 	if err := writeSnapshotFile(path, snap, !opts.NoSync); err != nil {
 		return nil, err
 	}
-	crp.CountEnrolled(enr.Len())
 	return openWith(dir, snap, enr, opts)
 }
 
@@ -422,7 +420,6 @@ func (st *Store) compactLocked() error {
 		return err
 	}
 	st.walRecords = 0
-	compactions.Inc()
 	return nil
 }
 
@@ -466,7 +463,6 @@ func (st *Store) StageEpoch(dev *core.Device, seeds []uint64, workers int) (*Sta
 	if err := writeSnapshotFile(filepath.Join(st.dir, stagingFile), snapshotOf(enr, nil), !st.opts.NoSync); err != nil {
 		return nil, err
 	}
-	epochStagings.Inc()
 	return &StagedEpoch{st: st, enr: enr}, nil
 }
 
@@ -510,17 +506,17 @@ func (se *StagedEpoch) Commit() error {
 	}
 	st.walRecords = 0
 	st.enr = se.enr
-	crp.CountEnrolled(se.enr.Len())
-	epochTransitions.Inc()
 	return st.led.Install(se.enr)
 }
 
 // Discard abandons a staged re-enrollment, removing its staging file. The
-// live enrollment is untouched.
+// live enrollment is untouched; a second Discard is a no-op.
 func (se *StagedEpoch) Discard() error {
 	err := os.Remove(filepath.Join(se.st.dir, stagingFile))
-	if err == nil || errors.Is(err, os.ErrNotExist) {
+	if err == nil {
 		epochStagingsDiscarded.Inc()
+	}
+	if err == nil || errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	return err
@@ -547,6 +543,5 @@ func (st *Store) Close() error {
 		return nil
 	}
 	st.closed = true
-	openStores.Add(-1)
 	return st.wal.close()
 }

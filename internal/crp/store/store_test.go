@@ -274,11 +274,15 @@ func TestTornWALTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	torn := walTornTails.Value()
 	re, err := Open(dir, testOptions())
 	if err != nil {
 		t.Fatalf("torn tail should be tolerated: %v", err)
 	}
 	defer re.Close()
+	if got := walTornTails.Value() - torn; got != 1 {
+		t.Fatalf("crpstore_wal_torn_tails_total delta = %d, want 1", got)
+	}
 	// Seed 1's full record survives; seed 2's torn record is dropped — it
 	// was never acknowledged, so it must be claimable again.
 	if err := re.Claim(1); !errors.Is(err, crp.ErrSeedUsed) {
@@ -293,6 +297,9 @@ func TestTornWALTailTruncated(t *testing.T) {
 		t.Fatalf("reopen after heal: %v", err)
 	} else {
 		re2.Close()
+	}
+	if got := walTornTails.Value() - torn; got != 1 {
+		t.Fatalf("healed WAL counted as torn again: delta = %d, want 1", got)
 	}
 }
 

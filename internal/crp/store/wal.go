@@ -72,7 +72,6 @@ func openWAL(path string, sync bool) (*wal, []crp.Frame, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	walReplayedRecords.Add(uint64(len(frames)))
 	return &wal{f: f, sync: sync}, frames, nil
 }
 
@@ -88,7 +87,6 @@ func (w *wal) append(fr crp.Frame) error {
 			return fmt.Errorf("crpstore: syncing claim WAL: %w", err)
 		}
 	}
-	walAppends.Inc()
 	return nil
 }
 

@@ -6,21 +6,12 @@ import (
 	"pufatt/internal/telemetry"
 )
 
-// CRP-database throughput instruments. The claim counter's result label is
+// claims counts acknowledged-claim attempts by result. The result label is
 // the interesting one operationally: a rising "replay" count is either a
 // protocol bug or an actual replay attempt, and "exhausted" claims signal a
 // device near the end of its enrolled lifetime.
-var (
-	enrolledSeeds = telemetry.Default().Counter("crp_enrolled_seeds_total",
-		"Challenge seeds enrolled into CRP databases.")
-	claims = telemetry.Default().CounterVec("crp_claims_total",
-		"Seed claims against CRP databases, by result.", "result")
-	referenceLookups = telemetry.Default().Counter("crp_reference_lookups_total",
-		"Reference-response lookups served from CRP databases.")
-)
-
-// CountEnrolled records n freshly enrolled seeds.
-func CountEnrolled(n int) { enrolledSeeds.Add(uint64(n)) }
+var claims = telemetry.Default().CounterVec("crp_claims_total",
+	"Seed claims against CRP databases, by result.", "result")
 
 // CountClaim records the outcome of an acknowledged-claim attempt in
 // crp_claims_total and returns err. Frames applied by replay or

@@ -336,7 +336,7 @@ func matchRCA(nl *netlist.Netlist, class []gateClass) *rcaProgram {
 // SlicedEngine evaluates the levelized floating-mode analysis for up to
 // Lanes challenges per pass over a fixed netlist/delay-table pair. It reuses
 // internal buffers across calls; a SlicedEngine is not safe for concurrent
-// use (clone it — see SlicedPool).
+// use (Clone it for parallel evaluation).
 type SlicedEngine struct {
 	nl     *netlist.Netlist
 	delays delay.Table
@@ -412,7 +412,6 @@ func (e *SlicedEngine) SetDelays(delays delay.Table) {
 // Clone returns a new SlicedEngine over the same (immutable, shared) netlist
 // and program with private scratch, for parallel evaluation.
 func (e *SlicedEngine) Clone() *SlicedEngine {
-	engineClones.Inc()
 	c := &SlicedEngine{
 		nl:       e.nl,
 		delays:   e.delays,

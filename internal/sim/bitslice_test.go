@@ -188,34 +188,6 @@ func TestSlicedSetDelaysAndClone(t *testing.T) {
 		randomChallenges(src, Lanes, len(nl.Inputs)))
 }
 
-func TestSlicedPoolReuseAndSetDelays(t *testing.T) {
-	dp := netlist.BuildPUFDatapath(netlist.PUFDatapathConfig{Width: 8})
-	nl := dp.Net
-	tabA := randomTable(nl, rng.New(61))
-	tabB := randomTable(nl, rng.New(62))
-	p := NewSlicedPool(nl, tabA)
-	e1 := p.Get()
-	e2 := p.Get()
-	p.Put(e1)
-	if p.Idle() != 1 {
-		t.Fatalf("idle = %d, want 1", p.Idle())
-	}
-	if got := p.Get(); got != e1 {
-		t.Fatal("pool did not reuse the freed engine")
-	}
-	p.Put(e1)
-	p.Put(e2)
-	p.SetDelays(tabB)
-	scalar := NewEngine(nl, tabB)
-	src := rng.New(63)
-	for i := 0; i < 2; i++ {
-		e := p.Get()
-		assertBlockMatchesScalar(t, nl, tabB, scalar, e,
-			randomChallenges(src, Lanes, len(nl.Inputs)))
-		p.Put(e)
-	}
-}
-
 func BenchmarkSlicedBlockRCA(b *testing.B) {
 	dp := netlist.BuildPUFDatapath(netlist.PUFDatapathConfig{Width: 32, UseCarry: true})
 	nl := dp.Net

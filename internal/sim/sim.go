@@ -149,9 +149,8 @@ func (e *Engine) SetDelays(delays delay.Table) {
 // compiled program and delay table but with its own value/arrival scratch
 // buffers. Cloning is the cheap path to parallel evaluation: clones may run
 // concurrently with each other and with the original, as long as nobody
-// calls SetDelays while runs are in flight. See Pool for clone reuse.
+// calls SetDelays while runs are in flight.
 func (e *Engine) Clone() *Engine {
-	engineClones.Inc()
 	return &Engine{
 		nl:      e.nl,
 		prog:    e.prog,
@@ -163,10 +162,6 @@ func (e *Engine) Clone() *Engine {
 
 // Netlist returns the engine's netlist (shared, read-only).
 func (e *Engine) Netlist() *netlist.Netlist { return e.nl }
-
-// GatesPerRun returns how many gates one Run call evaluates — the
-// denominator of the gate-evals/s throughput metric.
-func (e *Engine) GatesPerRun() int { return len(e.nl.Order) }
 
 // Run evaluates the netlist for the given primary-input vector.
 //
@@ -304,7 +299,6 @@ type EventSim struct {
 	now        float64
 	seq        uint64
 	transits   uint64
-	unflushed  uint64 // events processed, not yet flushed to the counter
 	// OnTransition, when set, observes every committed signal transition
 	// (waveform dumping, activity analysis). It must not mutate the
 	// simulator.
@@ -343,16 +337,6 @@ func (s *EventSim) Settle(inputs []uint8) {
 	s.now = 0
 	s.seq = 0
 	s.transits = 0
-	s.flushTelemetry()
-}
-
-// flushTelemetry publishes locally-batched event counts (one atomic add
-// instead of one per event in the simulation loop).
-func (s *EventSim) flushTelemetry() {
-	if s.unflushed > 0 {
-		eventsProcessed.Add(s.unflushed)
-		s.unflushed = 0
-	}
 }
 
 // Apply changes the primary inputs at the current simulation time and
@@ -419,7 +403,6 @@ func (s *EventSim) step() bool {
 		}
 		s.pendSeq[ev.gate] = 0
 		s.now = ev.t
-		s.unflushed++
 		if s.values[ev.gate] == ev.val {
 			return true
 		}
@@ -442,7 +425,6 @@ func (s *EventSim) step() bool {
 func (s *EventSim) Run() float64 {
 	for s.step() {
 	}
-	s.flushTelemetry()
 	return s.now
 }
 
@@ -464,7 +446,6 @@ func (s *EventSim) RunUntil(t float64) {
 	if t > s.now {
 		s.now = t
 	}
-	s.flushTelemetry()
 }
 
 // Value returns the current value of net g.

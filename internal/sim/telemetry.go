@@ -4,9 +4,8 @@ import "pufatt/internal/telemetry"
 
 // The simulation engines are the innermost hot loop of the whole stack (a
 // paper-scale experiment evaluates 10^6 challenges), so instrumentation is
-// batched: the levelized engine does two atomic adds per pass, and the
-// event simulator accumulates locally and flushes one atomic add per
-// Run/RunUntil/Settle.
+// batched: one pass costs two atomic adds. The benchmark reads all three
+// counters as its per-op layer counts.
 var (
 	levelizedPasses = telemetry.Default().Counter("sim_levelized_passes_total",
 		"Levelized floating-mode evaluation passes (one per Engine.Run).")
@@ -14,12 +13,4 @@ var (
 		"Effective gates evaluated by the levelized engines (a bitsliced pass counts gates x active lanes).")
 	bitslicePasses = telemetry.Default().Counter("sim_bitslice_passes_total",
 		"Bitsliced 64-lane evaluation passes (one per SlicedEngine.RunBlock).")
-	eventsProcessed = telemetry.Default().Counter("sim_events_processed_total",
-		"Events processed by the event-driven simulator.")
-	engineClones = telemetry.Default().Counter("sim_engine_clones_total",
-		"Levelized engines cloned for parallel evaluation.")
-	poolHits = telemetry.Default().Counter("sim_pool_hits_total",
-		"Pool Gets served from the free list (no clone needed).")
-	poolIdle = telemetry.Default().Gauge("sim_pool_idle_engines",
-		"Engines currently parked in pool free lists.")
 )

@@ -89,8 +89,7 @@ type Profiler struct {
 
 	inflight atomic.Bool
 
-	captures   atomic.Pointer[CounterVec] // by trigger
-	suppressed atomic.Pointer[Counter]
+	captures atomic.Pointer[CounterVec] // by trigger
 }
 
 // NewProfiler builds a disabled profiler (no directory). Configure with
@@ -138,14 +137,12 @@ func (p *Profiler) SetClock(now func() time.Time) {
 	p.clock = now
 }
 
-// SetCaptureCounters attaches metric instruments: captures counts completed
-// captures by trigger, suppressed counts triggers dropped by the
-// single-flight guard. Either may be nil. The profiler cannot self-register
-// (it may outlive any one registry), so the owning telemetry bundle
-// attaches them — the same contract as Tracer.SetDropCounter.
-func (p *Profiler) SetCaptureCounters(captures *CounterVec, suppressed *Counter) {
+// SetCaptureCounters attaches the counter of completed captures by trigger
+// (nil detaches it). The profiler cannot self-register (it may outlive any
+// one registry), so the owning telemetry bundle attaches it — the same
+// contract as Tracer.SetDropCounter.
+func (p *Profiler) SetCaptureCounters(captures *CounterVec) {
 	p.captures.Store(captures)
-	p.suppressed.Store(suppressed)
 }
 
 // Enabled reports whether a capture directory is configured.
@@ -166,9 +163,6 @@ func (p *Profiler) Capture(trigger string, meta CaptureMeta) (ProfileCapture, bo
 		return ProfileCapture{}, false, nil
 	}
 	if !p.inflight.CompareAndSwap(false, true) {
-		if c := p.suppressed.Load(); c != nil {
-			c.Inc()
-		}
 		return ProfileCapture{}, false, nil
 	}
 	defer p.inflight.Store(false)

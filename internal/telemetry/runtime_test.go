@@ -33,10 +33,10 @@ func TestRuntimeCollectorDeltas(t *testing.T) {
 	// First sample primes the baseline: gauges move, deltas do not.
 	c.Sample()
 	if v := reg.Gauge(MetricHeapBytes, "").Value(); v != 1000 {
-		t.Fatalf("heap gauge = %v, want 1000", v)
+		t.Fatalf("runtime_heap_bytes = %v, want 1000", v)
 	}
 	if v := reg.Gauge(MetricGoroutines, "").Value(); v != 5 {
-		t.Fatalf("goroutines gauge = %v, want 5", v)
+		t.Fatalf("runtime_goroutines = %v, want 5", v)
 	}
 	if v := reg.Counter(MetricGCCycles, "").Value(); v != 0 {
 		t.Fatalf("primed gc cycles counter = %d, want 0", v)
@@ -51,9 +51,9 @@ func TestRuntimeCollectorDeltas(t *testing.T) {
 	i = 1
 	c.Sample()
 	if v := reg.Counter(MetricGCCycles, "").Value(); v != 2 {
-		t.Fatalf("gc cycles delta = %d, want 2", v)
+		t.Fatalf("runtime_gc_cycles_total delta = %d, want 2", v)
 	}
-	for _, name := range []string{MetricGCPause, MetricSchedLatency} {
+	for _, name := range []string{"runtime_gc_pause_seconds", "runtime_sched_latency_seconds"} {
 		h := reg.Histogram(name, "", runtimeBuckets)
 		if n := h.Count(); n != 3 {
 			t.Fatalf("%s count = %d, want 3", name, n)

@@ -13,8 +13,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# The race-detected packages; `make race` runs the same list.
-RACE_PKGS="./internal/attest/... ./internal/telemetry/... ./internal/crp/... ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/attacks ./cmd/pufatt-top"
+# The race-detected packages, one per line; `make race` reads the same file.
+RACE_PKGS=$(cat scripts/race-packages)
 
 echo "== gofmt -l"
 unformatted=$(gofmt -l .)
