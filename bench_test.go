@@ -604,7 +604,6 @@ func BenchmarkSlenderAuthentication(b *testing.B) {
 func BenchmarkBitsliceEval(b *testing.B) {
 	d := core.MustNewDesign(core.DefaultConfig())
 	dev := core.MustNewDevice(d, rng.New(35), 0)
-	dev.SetEvalEngine(core.EngineBitslice)
 	be := core.NewBatchEvaluator(dev)
 	const batch = 256
 	src := rng.New(36)
@@ -622,58 +621,6 @@ func BenchmarkBitsliceEval(b *testing.B) {
 		evals := float64(batch) * float64(len(d.Datapath().Net.Order)) * float64(b.N)
 		b.ReportMetric(evals/s, "gate-evals/s")
 		b.ReportMetric(float64(batch)*float64(b.N)/s, "challenges/s")
-	}
-}
-
-// BenchmarkLinearModelEval measures the linear-delay fast model through the
-// same batch pipeline: after the one-time enrollment fit, each challenge is a
-// windowed dot product per bit instead of a levelized netlist pass.
-func BenchmarkLinearModelEval(b *testing.B) {
-	d := core.MustNewDesign(core.DefaultConfig())
-	dev := core.MustNewDevice(d, rng.New(35), 0)
-	dev.SetEvalEngine(core.EngineLinear)
-	be := core.NewBatchEvaluator(dev)
-	const batch = 256
-	src := rng.New(36)
-	challenges := core.ChallengeMatrix(d, batch)
-	for k := range challenges {
-		d.ExpandChallengeInto(challenges[k], src.Uint64(), 0)
-	}
-	dst := be.ResponseMatrix(batch)
-	be.RawResponses(challenges, dst, 1) // fit the model outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		be.RawResponses(challenges, dst, 1)
-	}
-	b.StopTimer()
-	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(batch)*float64(b.N)/s, "challenges/s")
-	}
-	m, err := core.FitLinearModel(dev, core.DefaultLinearModelConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(m.Agreement(), "gate-agreement")
-}
-
-// BenchmarkFigure4Engines runs the Figure 4 intra-chip experiment end to end
-// under the scalar and the bitsliced engine: an A/B of the same science at
-// both evaluation speeds (the numbers must agree bit-for-bit; only ns/op may
-// differ).
-func BenchmarkFigure4Engines(b *testing.B) {
-	for _, eng := range []core.EvalEngine{core.EngineGate, core.EngineBitslice} {
-		b.Run(eng.String(), func(b *testing.B) {
-			prev := core.DefaultEvalEngine()
-			core.SetDefaultEvalEngine(eng)
-			defer core.SetDefaultEvalEngine(prev)
-			res, err := experiments.Figure4(core.DefaultConfig(), b.N, 2, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.MeanBits, "intra-HD-bits")
-			b.ReportMetric(100*res.PerBitErr, "bit-err-%")
-		})
 	}
 }
 

@@ -1,7 +1,14 @@
 // Command pufatt-attack runs the Section 4.2 adversary suite against a
 // freshly manufactured device and prints each attack's outcome: memory-copy
 // forgery, overclocked forgery, PUF-oracle proxying, machine-learning
-// modeling, and the overclocking corruption sweep.
+// modeling, and the overclocking corruption sweep. Training sets and
+// oracle queries come from the gate-level device model.
+//
+// Usage:
+//
+//	pufatt-attack                      # full suite
+//	pufatt-attack -fast -games         # reduced datasets, plus the game-based experiments
+//	pufatt-attack -fast -workers 2     # bound the batch-evaluation fan-out
 package main
 
 import (
@@ -10,7 +17,6 @@ import (
 	"os"
 
 	"pufatt/internal/buildinfo"
-	"pufatt/internal/core"
 	"pufatt/internal/experiments"
 )
 
@@ -21,17 +27,10 @@ func main() {
 		games   = flag.Bool("games", false, "also run the game-based soundness experiments")
 		trials  = flag.Int("trials", 25, "trials per strategy for -games")
 		workers = flag.Int("workers", 0, "PUF batch-evaluation workers (0 = GOMAXPROCS)")
-		engine  = flag.String("engine", "bitslice", "PUF evaluation engine: gate, bitslice, or linear (linear = fast approximate model, e.g. for ML training-set generation)")
 	)
 	version := buildinfo.VersionFlags("pufatt-attack")
 	flag.Parse()
 	version()
-	eng, err := core.ParseEvalEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pufatt-attack:", err)
-		os.Exit(2)
-	}
-	core.SetDefaultEvalEngine(eng)
 	cfg := experiments.DefaultSecurityConfig(*seed)
 	cfg.Workers = *workers
 	if *fast {

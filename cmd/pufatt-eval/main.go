@@ -1,7 +1,9 @@
 // Command pufatt-eval regenerates the paper's evaluation artifacts: the
 // inter-chip histogram of Figure 3, the intra-chip/corner analysis of
 // Figure 4, the Table 1 resource comparison, the Section 4.1 FPGA
-// two-board measurement, and the Section 4.2 security suite.
+// two-board measurement, and the Section 4.2 security suite. Batch
+// experiments run the 64-lane bitsliced gate-level pass; -workers bounds
+// its fan-out and never changes the output.
 //
 // Usage:
 //
@@ -30,24 +32,10 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "experiment seed")
 		hist    = flag.Bool("hist", false, "print full histograms")
 		workers = flag.Int("workers", 0, "PUF batch-evaluation workers (0 = GOMAXPROCS)")
-		engine  = flag.String("engine", "bitslice", "PUF evaluation engine: gate, bitslice, or linear")
 	)
 	version := buildinfo.VersionFlags("pufatt-eval")
 	flag.Parse()
 	version()
-	eng, err := core.ParseEvalEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pufatt-eval: %v\n", err)
-		os.Exit(2)
-	}
-	if eng == core.EngineLinear && *exp != "security" {
-		// The figure experiments are gate-level measurements by definition:
-		// the linear fast model approximates them (~93-95 % bit agreement)
-		// and would silently corrupt the reproduced numbers.
-		fmt.Fprintln(os.Stderr, "pufatt-eval: -engine linear is an approximation and is only valid for -exp security (attack training-set generation); use gate or bitslice for figure experiments")
-		os.Exit(2)
-	}
-	core.SetDefaultEvalEngine(eng)
 	run := func(name string, fn func() (string, error)) {
 		if *exp != "all" && *exp != name {
 			return

@@ -3,6 +3,7 @@ package attest
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -287,6 +288,87 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if firing < 3 || resolved < 3 {
 		t.Fatalf("journal alert events: %d firing, %d resolved, want >= 3 each", firing, resolved)
 	}
+}
+
+// TestObservabilityVerifierSideAlerts drives the two rules that watch the
+// verifier process rather than its sessions. A seed budget at or below the
+// SLO watermark fires seed-budget-low; a GC-pause p99 above half the RTT
+// bound fires gc-pause-vs-rtt-bound. Each resolves once its cause is gone:
+// a fresh enrollment refills the budget, and the pauses shrink.
+func TestObservabilityVerifierSideAlerts(t *testing.T) {
+	o := newObsFixture(t, 45)
+	res, _, err := o.tel.RunSessionRetry(context.Background(), o.verifier, o.prover, DefaultLink(), RetryPolicy{})
+	if err != nil || !res.Accepted {
+		t.Fatalf("calibration session: accepted=%v err=%v", res.Accepted, err)
+	}
+	slo := o.tel.Health.SLO()
+	slo.MaxRTTP95 = res.Elapsed * 10
+	slo.MinSeedBudget = 4
+	o.tel.SetSLO(slo)
+	rules := DefaultAlertRules(slo)
+	for i := range rules {
+		rules[i].FastWindow = 2 * obsTick
+		rules[i].SlowWindow = 4 * obsTick
+	}
+	o.tel.Alerts.SetRules(rules)
+
+	// A synthetic runtime: every sample adds ten GC pauses, observed at
+	// 1 s while long is set (far above MaxRTTP95/2) and at 1 µs otherwise.
+	long := false
+	pauses := []uint64{0, 0, 0}
+	o.tel.Runtime.SetSource(func() telemetry.RuntimeSnapshot {
+		if long {
+			pauses[1] += 10
+		} else {
+			pauses[0] += 10
+		}
+		return telemetry.RuntimeSnapshot{GCPauseSeconds: telemetry.RuntimeHistogram{
+			Buckets: []float64{math.Inf(-1), 1e-6, 1, math.Inf(1)},
+			Counts:  append([]uint64(nil), pauses...),
+		}}
+	})
+	verifierSide := []string{"seed-budget-low", "gc-pause-vs-rtt-bound"}
+	assertState := func(phase string, want telemetry.AlertState) {
+		t.Helper()
+		for _, name := range verifierSide {
+			if st := o.alert(t, name); st.State != want {
+				t.Fatalf("%s: %s = %s, want %s", phase, name, st.State, want)
+			}
+		}
+	}
+
+	// Phase 1 — ample budget, short pauses: neither rule fires.
+	o.verifier.WithSeedBudget(budgetDB(t, o.fixture, 20))
+	for i := 0; i < 5; i++ {
+		o.sessions(t, o.prover, 1)
+		o.tick()
+	}
+	assertState("healthy", telemetry.AlertInactive)
+
+	// Phase 2 — a budget that one session leaves at 2 seeds (watermark 4)
+	// and a GC-pause tail at 1 s.
+	o.verifier.WithSeedBudget(budgetDB(t, o.fixture, 3))
+	o.sessions(t, o.prover, 1)
+	long = true
+	for i := 0; i < 5; i++ {
+		o.tick()
+	}
+	if v := o.tel.BudgetLowDevices.Value(); v != 1 {
+		t.Fatalf("attest_seed_budget_low_devices = %v, want 1", v)
+	}
+	assertState("low budget, long pauses", telemetry.AlertFiring)
+
+	// Phase 3 — re-enrollment refills the budget and the pauses shrink.
+	o.verifier.WithSeedBudget(budgetDB(t, o.fixture, 20))
+	long = false
+	for i := 0; i < 6; i++ {
+		o.sessions(t, o.prover, 1)
+		o.tick()
+	}
+	if v := o.tel.BudgetLowDevices.Value(); v != 0 {
+		t.Fatalf("attest_seed_budget_low_devices = %v after re-enrollment, want 0", v)
+	}
+	assertState("recovered", telemetry.AlertResolved)
 }
 
 // TestObservabilityHonestBaseline pins the negative: a healthy fixture

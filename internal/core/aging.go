@@ -129,7 +129,6 @@ func (dev *Device) ensureAging() {
 // offsets) and rebuilds the current corner.
 func (dev *Device) reloadTables() {
 	dev.tables = make(map[delay.Conditions]delay.Table)
-	dev.physGen++ // gate delays changed: linear-model fits are stale
 	dev.SetConditions(dev.cond)
 }
 

@@ -36,17 +36,18 @@ const batchChunk = 32
 // lazily); it must not be used concurrently with other evaluations on the
 // same device, but its own workers coordinate internally.
 //
-// Which physics engine runs underneath — scalar gate-level, 64-lane
-// bitsliced gate-level (the default), or the linear-delay fast model — is
-// selected per batch via Device.EvalEngine (see engine.go). The two
-// gate-level engines are bit-identical; all three honour the same
-// determinism contract (per-item noise streams, any worker count).
+// Every batch runs the 64-lane bitsliced gate-level pass (runSliced). The
+// scalar fan-out (runGate) is the reference it is tested against: the two
+// are bit-identical at every worker count, and only package tests select
+// the scalar one.
 type BatchEvaluator struct {
 	dev *Device
-	// One engine per worker and engine kind, grown on first need and
-	// pointed at the batch's delay table at the start of every batch.
-	gate   []*sim.Engine       // EngineGate
-	sliced []*sim.SlicedEngine // EngineBitslice
+	// One engine per worker, grown on first need and pointed at the
+	// batch's delay table at the start of every batch.
+	sliced []*sim.SlicedEngine
+	gate   []*sim.Engine
+	// scalar routes batches through runGate; set only by package tests.
+	scalar bool
 }
 
 // NewBatchEvaluator returns a batch evaluator over the device.
@@ -181,7 +182,6 @@ func (be *BatchEvaluator) run(challenges, dst [][]uint8, workers, votes int, noi
 	}
 
 	// Per-batch constants, all read-only under the workers.
-	engine := dev.EvalEngine()
 	tab := dev.tables[dev.cond]
 	jitter := 0.0
 	if noisy {
@@ -189,13 +189,10 @@ func (be *BatchEvaluator) run(challenges, dst [][]uint8, workers, votes int, noi
 	}
 	noiseBase := dev.noise.Sub(fmt.Sprintf("batch/%d", epoch))
 
-	switch engine {
-	case EngineBitslice:
-		be.runSliced(challenges, dst, workers, votes, noisy, jitter, noiseBase, tab)
-	case EngineLinear:
-		be.runLinear(challenges, dst, workers, votes, noisy, jitter, noiseBase)
-	default:
+	if be.scalar {
 		be.runGate(challenges, dst, workers, votes, noisy, jitter, noiseBase, tab)
+	} else {
+		be.runSliced(challenges, dst, workers, votes, noisy, jitter, noiseBase, tab)
 	}
 
 	dev.queries += uint64(len(challenges) * votes)
@@ -204,7 +201,8 @@ func (be *BatchEvaluator) run(challenges, dst [][]uint8, workers, votes int, noi
 }
 
 // runGate is the scalar gate-level fan-out: chunks of whole items across
-// cloned scalar engines.
+// cloned scalar engines, one levelized pass per item. It is the reference
+// the equivalence suite holds runSliced to; only package tests select it.
 func (be *BatchEvaluator) runGate(challenges, dst [][]uint8, workers, votes int, noisy bool, jitter float64, noiseBase *rng.Source, tab delay.Table) {
 	dev := be.dev
 	bits := dev.design.ResponseBits()
@@ -227,10 +225,12 @@ func (be *BatchEvaluator) runGate(challenges, dst [][]uint8, workers, votes int,
 				hi = len(challenges)
 			}
 			for k := lo; k < hi; k++ {
+				_, arr := eng.Run(challenges[k])
+				dev.fillDeltas(arr, deltas)
 				if noisy {
 					noise.Reinit(noiseBase.SubSeedN("item", k))
 				}
-				evalOne(dev, eng, challenges[k], dst[k], counts, deltas, nbuf, &noise, jitter, votes, noisy)
+				respondFromDeltas(dst[k], counts, deltas, nbuf, 1, 0, &noise, jitter, votes, noisy)
 			}
 		}
 	}
@@ -365,77 +365,14 @@ func extractLaneDeltas(dev *Device, eng *sim.SlicedEngine, deltas []float64, bca
 	}
 }
 
-// runLinear evaluates the batch through the device's fitted linear-delay
-// fast model (refitting lazily if the physics moved): no gate-level engine,
-// just a windowed dot product per bit plus the standard noise pipeline.
-func (be *BatchEvaluator) runLinear(challenges, dst [][]uint8, workers, votes int, noisy bool, jitter float64, noiseBase *rng.Source) {
-	dev := be.dev
-	bits := dev.design.ResponseBits()
-	model := dev.linearModel()
-	var next atomic.Int64
-	work := func() {
-		var noise rng.Source
-		counts := make([]int, bits)
-		deltas := make([]float64, bits)
-		nbuf := make([]float64, bits)
-		for {
-			lo := int(next.Add(batchChunk)) - batchChunk
-			if lo >= len(challenges) {
-				return
-			}
-			hi := lo + batchChunk
-			if hi > len(challenges) {
-				hi = len(challenges)
-			}
-			for k := lo; k < hi; k++ {
-				model.DeltasInto(challenges[k], deltas)
-				if noisy {
-					noise.Reinit(noiseBase.SubSeedN("item", k))
-				}
-				respondFromDeltas(dst[k], counts, deltas, nbuf, 1, 0, &noise, jitter, votes, noisy)
-			}
-		}
-	}
-	if workers == 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
-}
-
-// evalOne measures one challenge into out using the worker-local engine,
-// vote counter, delta scratch, and (already reinitialised) noise stream. It
-// is the batch analogue of Device.RawResponse/NoiselessResponse/
-// MajorityResponse and must stay in lockstep with them physically: same
-// arrival deltas, same jitter model, same majority rule. It runs one
-// levelized pass, extracts the per-bit deltas, and hands them to the shared
-// noise/threshold stage — the same stage the bitsliced and linear paths
-// feed, which is what makes all engines' noisy outputs comparable
-// term-for-term.
-func evalOne(dev *Device, eng *sim.Engine, challenge, out []uint8, counts []int, deltas, nbuf []float64, noise *rng.Source, jitter float64, votes int, noisy bool) {
-	_, arr := eng.Run(challenge)
-	for i := range deltas {
-		deltas[i] = dev.arrivalDelta(arr, i)
-	}
-	respondFromDeltas(out, counts, deltas, nbuf, 1, 0, noise, jitter, votes, noisy)
-}
-
 // respondFromDeltas turns precomputed arrival deltas into response bits:
 // per-bit jitter draws (in ascending bit order, the scalar draw order) and
 // thresholding, or votes-fold majority with noise redrawn per vote. Bit i's
 // delta is deltas[i*stride+lane]: stride 1 for scalar layouts, sim.Lanes for
 // lane-major bitsliced blocks. The engine pass behind the deltas is
 // deterministic, so one pass serves every vote — only the arbiter noise
-// differs (the sequential MajorityResponse re-runs the engine per vote; the
-// physics is identical, this just skips votes−1 redundant passes).
+// differs. This is the one place a delta becomes a response bit: the batch
+// fan-outs and the sequential Device queries (device.go) all end here.
 //
 // The jitter draws are buffered into nbuf (len = response bits) before the
 // threshold pass: the draw order is unchanged, but the Norm calls run in a

@@ -137,10 +137,10 @@ func TestBatchMajorityReducesNoise(t *testing.T) {
 // The batch honours the current operating corner and per-device extra skew,
 // like the sequential path.
 func TestBatchRespectsCornerAndSkew(t *testing.T) {
-	for _, engine := range []EvalEngine{EngineGate, EngineBitslice} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, engine := range []string{"gate", "bitslice"} {
+		t.Run(engine, func(t *testing.T) {
 			dev := twinDevice(t, 111)
-			dev.SetEvalEngine(engine)
+			dev.batcher().scalar = engine == "gate"
 			ch := batchChallenges(dev.Design(), 50, 112)
 			nominal := dev.NoiselessResponses(ch, 2)
 			// The second batch reuses the evaluator's worker engines, which

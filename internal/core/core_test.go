@@ -7,6 +7,7 @@ import (
 	"pufatt/internal/delay"
 	"pufatt/internal/rng"
 	"pufatt/internal/stats"
+	"pufatt/internal/telemetry"
 )
 
 // testConfig returns a small, fast design for unit tests (the calibrated
@@ -346,6 +347,50 @@ func TestQueriesCounter(t *testing.T) {
 	dev.MajorityResponse(ch, 3)
 	if got := dev.Queries(); got != 5 {
 		t.Errorf("query counter = %d, want 5", got)
+	}
+}
+
+// TestMajorityResponseIsOnePass pins the sequential majority: on twin
+// devices MajorityResponse(ch, 5) equals the bitwise majority of five
+// RawResponse(ch) calls, noise draw for noise draw, and costs one
+// gate-level pass, not one per vote.
+func TestMajorityResponseIsOnePass(t *testing.T) {
+	const votes = 5
+	passes := telemetry.Default().Counter("sim_levelized_passes_total", "")
+	for _, sc := range engineScenarios() {
+		if sc.name != "rca-fused" && sc.name != "corner-and-skew" {
+			continue
+		}
+		t.Run(sc.name, func(t *testing.T) {
+			voted, raw := twinDevice(t, 321), twinDevice(t, 321)
+			if sc.prep != nil {
+				sc.prep(voted)
+				sc.prep(raw)
+			}
+			counts := make([]int, raw.Design().ResponseBits())
+			for k, ch := range batchChallenges(raw.Design(), 200, 322) {
+				before := passes.Value()
+				got := voted.MajorityResponse(ch, votes)
+				if d := passes.Value() - before; d != 1 {
+					t.Fatalf("challenge %d: MajorityResponse ran %d levelized passes, want 1", k, d)
+				}
+				clear(counts)
+				for v := 0; v < votes; v++ {
+					for i, bit := range raw.RawResponse(ch) {
+						counts[i] += int(bit)
+					}
+				}
+				for i, c := range counts {
+					var want uint8
+					if 2*c > votes {
+						want = 1
+					}
+					if got[i] != want {
+						t.Fatalf("challenge %d bit %d: majority %d, %d of %d raw votes set", k, i, got[i], c, votes)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -49,14 +49,10 @@ type Device struct {
 	// worker-count-independent per-challenge noise streams.
 	batch       *BatchEvaluator
 	batchEpochs uint64
-	// evalEngine is the per-device engine override (engine.go);
-	// EngineDefault defers to the package default.
-	evalEngine EvalEngine
-	// linear caches the fitted linear-delay fast model (linear.go); physGen
-	// counts physics changes (aging, epoch, extra skew) so stale fits are
-	// detected and redone.
-	linear  *LinearModel
-	physGen uint64
+	// Scratch of the sequential queries' respond stage: per-bit deltas,
+	// jitter draws and vote counts.
+	deltaBuf, noiseBuf []float64
+	voteBuf            []int
 }
 
 // NewDevice manufactures chip chipID of the design, drawing its process
@@ -80,6 +76,9 @@ func NewDevice(d *Design, master *rng.Source, chipID int) (*Device, error) {
 		epochRoot: master.SubN("device/epoch", chipID),
 		inBuf:     make([]uint8, 2*d.cfg.Width),
 		respBuf:   make([]uint8, d.ResponseBits()),
+		deltaBuf:  make([]float64, d.ResponseBits()),
+		noiseBuf:  make([]float64, d.ResponseBits()),
+		voteBuf:   make([]int, d.ResponseBits()),
 	}
 	dev.SetConditions(delay.Nominal())
 	return dev, nil
@@ -137,6 +136,14 @@ func (dev *Device) arrivalDelta(arr []float64, i int) float64 {
 	return d
 }
 
+// fillDeltas writes every response bit's arrival delta from one pass's
+// arrivals.
+func (dev *Device) fillDeltas(arr, deltas []float64) {
+	for i := range deltas {
+		deltas[i] = dev.arrivalDelta(arr, i)
+	}
+}
+
 // SetExtraSkewPs installs per-bit additive skew on top of the design skew:
 // board-level routing mismatch and PDL compensation in the FPGA prototype
 // (package fpga). Pass nil to clear.
@@ -145,7 +152,6 @@ func (dev *Device) SetExtraSkewPs(skew []float64) {
 		panic(fmt.Sprintf("core: extra skew of %d entries for %d response bits", len(skew), dev.design.ResponseBits()))
 	}
 	dev.extraSkewPs = skew
-	dev.physGen++ // arbiter deltas changed: linear-model fits are stale
 }
 
 // ExtraSkewPs returns the per-device extra skew (nil if unset).
@@ -156,27 +162,26 @@ func (dev *Device) ExtraSkewPs() []float64 { return dev.extraSkewPs }
 // arbiter noise. Response bit i is 1 when ALU 0's output settles first.
 //
 // Aliasing contract: the returned slice is device-owned scratch, overwritten
-// in place by the next RawResponse/MajorityResponse/ClockedResponse call —
-// finish reading (or copy) before querying again, and never retain it.
+// in place by the next RawResponse/ClockedResponse call — finish reading
+// (or copy) before querying again, and never retain it.
 // Callers that need stable storage use RawResponseCopy; batch callers use
 // RawResponses, whose rows are caller-owned. TestRawResponseAliasingContract
 // enforces this.
 func (dev *Device) RawResponse(challenge []uint8) []uint8 {
-	arr := dev.arrivals(challenge)
+	return dev.respond(challenge, dev.respBuf, 1, true)
+}
+
+// respond runs one gate-level pass for the challenge and hands its deltas
+// to the batch's respond stage (respondFromDeltas), drawing any noise from
+// the device's rolling stream: votes-fold when noisy, vote-major and
+// bit-ascending, the order of votes successive RawResponse calls. It counts
+// votes queries.
+func (dev *Device) respond(challenge, out []uint8, votes int, noisy bool) []uint8 {
+	dev.fillDeltas(dev.arrivals(challenge), dev.deltaBuf)
 	jitter := dev.design.cfg.JitterPs * dev.jitterScale
-	for i := range dev.respBuf {
-		d := dev.arrivalDelta(arr, i)
-		if jitter > 0 {
-			d += dev.noise.NormMS(0, jitter)
-		}
-		if d > 0 {
-			dev.respBuf[i] = 1
-		} else {
-			dev.respBuf[i] = 0
-		}
-	}
-	dev.queries++
-	return dev.respBuf
+	respondFromDeltas(out, dev.voteBuf, dev.deltaBuf, dev.noiseBuf, 1, 0, dev.noise, jitter, votes, noisy)
+	dev.queries += uint64(votes)
+	return out
 }
 
 // RawResponseCopy is RawResponse into freshly allocated storage.
@@ -188,39 +193,21 @@ func (dev *Device) RawResponseCopy(challenge []uint8) []uint8 {
 // bitwise majority, reducing the effective per-bit error rate (standard
 // temporal majority voting; see DESIGN.md on reaching the paper's claimed
 // false-negative rate with a real (32,6,16) decoder). votes must be odd.
+// The arrivals are deterministic, so one gate-level pass serves every vote;
+// the result equals the bitwise majority of votes RawResponse calls, noise
+// draw for noise draw. The returned slice is fresh.
 func (dev *Device) MajorityResponse(challenge []uint8, votes int) []uint8 {
 	if votes < 1 || votes%2 == 0 {
 		panic(fmt.Sprintf("core: majority votes %d must be odd and positive", votes))
 	}
-	counts := make([]int, dev.design.ResponseBits())
-	for v := 0; v < votes; v++ {
-		r := dev.RawResponse(challenge)
-		for i, bit := range r {
-			counts[i] += int(bit)
-		}
-	}
-	out := make([]uint8, len(counts))
-	for i, c := range counts {
-		if 2*c > votes {
-			out[i] = 1
-		}
-	}
-	return out
+	return dev.respond(challenge, make([]uint8, dev.design.ResponseBits()), votes, true)
 }
 
 // NoiselessResponse measures the response without arbiter noise: the
 // idealised expected response at the current corner. Enrollment and
 // emulation use it at the nominal corner.
 func (dev *Device) NoiselessResponse(challenge []uint8) []uint8 {
-	arr := dev.arrivals(challenge)
-	out := make([]uint8, dev.design.ResponseBits())
-	for i := range out {
-		if dev.arrivalDelta(arr, i) > 0 {
-			out[i] = 1
-		}
-	}
-	dev.queries++
-	return out
+	return dev.respond(challenge, make([]uint8, dev.design.ResponseBits()), 1, false)
 }
 
 func (dev *Device) arrivals(challenge []uint8) []float64 {
@@ -236,11 +223,8 @@ func (dev *Device) arrivals(challenge []uint8) []float64 {
 // challenge (positive = ALU 0 first). Attack code uses this as the
 // idealised side-channel; tests use it to probe the physics.
 func (dev *Device) ArrivalDeltas(challenge []uint8) []float64 {
-	arr := dev.arrivals(challenge)
 	out := make([]float64, dev.design.ResponseBits())
-	for i := range out {
-		out[i] = dev.arrivalDelta(arr, i)
-	}
+	dev.fillDeltas(dev.arrivals(challenge), out)
 	return out
 }
 
