@@ -121,7 +121,7 @@ func (dev *Device) ensureAging() {
 		dev.agingVth = make([]float64, len(dev.design.datapath.Net.Gates))
 	}
 	if dev.agingSrc == nil {
-		dev.agingSrc = dev.noise.SubN("aging", dev.chip.ID())
+		dev.agingSrc = dev.noise.SubN("aging", dev.chipID)
 	}
 }
 

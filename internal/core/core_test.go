@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pufatt/internal/delay"
@@ -506,6 +507,30 @@ func TestEmulatorPanicsOnMismatchedModel(t *testing.T) {
 		}
 	}()
 	NewEmulator(d16, m)
+}
+
+// TestExportModelIsACopy pins that an exported model owns its delay table:
+// Device.Emulator shares the device's nominal table, so a holder writing
+// over an exported table must not reach the device or its emulators.
+func TestExportModelIsACopy(t *testing.T) {
+	d := MustNewDesign(testConfig())
+	dev := MustNewDevice(d, rng.New(5), 0)
+	em := dev.Emulator()
+	ch := d.ExpandChallenge(1, 0)
+	want := em.Respond(ch)
+	wantDev := dev.NoiselessResponse(ch)
+	m := dev.ExportModel()
+	for g := range m.Table.Ps {
+		m.Table.Ps[g] = 0
+	}
+	for _, got := range [][]uint8{em.Respond(ch), dev.Emulator().Respond(ch)} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("emulator response %v after overwriting an exported table, want %v", got, want)
+		}
+	}
+	if got := dev.NoiselessResponse(ch); !slices.Equal(got, wantDev) {
+		t.Fatalf("device response %v after overwriting an exported table, want %v", got, wantDev)
+	}
 }
 
 func TestArrivalDeltasExposePhysics(t *testing.T) {

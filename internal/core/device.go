@@ -15,7 +15,9 @@ import (
 // use.
 type Device struct {
 	design *Design
-	chip   *variation.Chip
+	chipID int
+	// dVth is the chip's per-gate process variation; the quad-tree chip
+	// model it was drawn from is not retained.
 	dVth   []float64
 	cond   delay.Conditions
 	tables map[delay.Conditions]delay.Table
@@ -66,7 +68,7 @@ func NewDevice(d *Design, master *rng.Source, chipID int) (*Device, error) {
 	}
 	dev := &Device{
 		design: d,
-		chip:   chip,
+		chipID: chipID,
 		dVth:   chip.VthOffsets(d.datapath.Net, 0, 0),
 		tables: make(map[delay.Conditions]delay.Table),
 		noise:  master.SubN("device/noise", chipID),
@@ -97,7 +99,7 @@ func MustNewDevice(d *Design, master *rng.Source, chipID int) *Device {
 func (dev *Device) Design() *Design { return dev.design }
 
 // ChipID returns the chip identifier.
-func (dev *Device) ChipID() int { return dev.chip.ID() }
+func (dev *Device) ChipID() int { return dev.chipID }
 
 // Queries returns how many raw PUF evaluations this device has served; the
 // oracle-attack analysis uses it to account for PUF access bandwidth.
@@ -351,6 +353,14 @@ func (dev *Device) EventDrivenSettleTime(challenge []uint8) float64 {
 // readout happens through a fuse-protected test interface at manufacturing
 // time; here it is a method only the enrolling authority calls.
 func (dev *Device) ExportModel() *Model {
+	m := dev.model()
+	m.Table = m.Table.Clone()
+	return m
+}
+
+// model is the device's emulation model over its own nominal delay table,
+// not a copy: delay tables are never written after they are built.
+func (dev *Device) model() *Model {
 	nom := delay.Nominal()
 	tab, ok := dev.tables[nom]
 	if !ok {
@@ -366,16 +376,17 @@ func (dev *Device) ExportModel() *Model {
 	return &Model{
 		Width:    dev.design.cfg.Width,
 		UseCarry: dev.design.cfg.UseCarry,
-		ChipID:   dev.chip.ID(),
-		Table:    tab.Clone(),
+		ChipID:   dev.chipID,
+		Table:    tab,
 		SkewPs:   skew,
 	}
 }
 
-// Emulator returns a verifier-side emulator for this device (shorthand for
-// NewEmulator(design, dev.ExportModel())).
+// Emulator returns a verifier-side emulator for this device: NewEmulator
+// over the device's model, sharing its read-only nominal delay table where
+// ExportModel copies it.
 func (dev *Device) Emulator() *Emulator {
-	return NewEmulator(dev.design, dev.ExportModel())
+	return NewEmulator(dev.design, dev.model())
 }
 
 // netlistOf is a test hook returning the device's netlist.

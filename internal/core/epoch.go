@@ -62,7 +62,7 @@ func (dev *Device) epochOffsets(e uint32) []float64 {
 	nl := dev.design.datapath.Net
 	src := dev.epochRoot.SubN("epoch", int(e))
 	out := make([]float64, len(nl.Gates))
-	sigma := dev.chip.Config().SigmaTotal
+	sigma := dev.design.cfg.Variation.SigmaTotal
 	for g := range nl.Gates {
 		switch nl.Gates[g].Kind {
 		case netlist.Input, netlist.Const0, netlist.Const1:

@@ -46,11 +46,14 @@ import (
 //     computed once per SetDelays, not per lane.
 //
 //   - Fused carry chains. The default datapath is two ripple-carry adders.
-//     compileSliceProgram recognises that shape exactly (matchRCA) and emits
-//     a fused per-stage kernel that keeps the carry arrival row in registers
-//     and stores only the rows anything downstream reads: sums and carries.
-//     Netlists that are not pure RCA chains (the carry-lookahead ALU, random
-//     test circuits) fall back to exact generic per-gate kernels.
+//     The netlist's one structural compile (compileProgram, shared with the
+//     scalar Engine) recognises that shape exactly (matchRCA); the bitsliced
+//     pass then runs a fused per-stage kernel that keeps the carry arrival
+//     row in registers and stores only the rows anything downstream reads:
+//     sums and carries. The scalar Engine runs the same recurrence on
+//     scalars for the paired datapath (runPairedRCA). Netlists that are not
+//     pure RCA chains (the carry-lookahead ALU, random test circuits) fall
+//     back to exact generic per-gate kernels in both engines.
 //
 // Noise is *not* folded in here: per-challenge arbiter noise is drawn by the
 // core batch layer from per-item rng.SubSeedN streams after the deltas are
@@ -84,17 +87,6 @@ const (
 	classVar
 )
 
-// sliceProgram is the compiled, delay-independent form of a netlist, shared
-// by every SlicedEngine clone over that netlist.
-type sliceProgram struct {
-	class []gateClass
-	// stored[g] marks gates with a materialised arrival row (ArrivalLanes).
-	stored []bool
-	// rca is the fused ripple-carry program, nil when the netlist is not
-	// exactly a disjoint set of full-adder chains.
-	rca *rcaProgram
-}
-
 // rcaStage is one matched full-adder: s1 = Xor(a,b), c1 = And(a,b),
 // sum = Xor(s1,cin), c2 = And(s1,cin), cout = Or(c1,c2).
 type rcaStage struct {
@@ -120,24 +112,22 @@ type rcaProgram struct {
 	// net. Their value words are then identical at every stage (same
 	// operands, same carries — only delays differ), so one word computation
 	// and one bit extraction serve both chains, and the two chains'
-	// independent float recurrences interleave in one lane loop.
+	// independent float recurrences interleave in one lane loop. Only a
+	// paired program takes the scalar Engine's fused pass.
 	paired bool
 }
 
-// compileSliceProgram classifies every gate and attempts the fused
-// ripple-carry match. Classification is structural only (delay-independent);
-// correctness never depends on it — the generic kernels are exact for every
-// gate — it only decides which work can be hoisted out of the lane loops.
-func compileSliceProgram(nl *netlist.Netlist) *sliceProgram {
-	p := &sliceProgram{
-		class:  make([]gateClass, len(nl.Gates)),
-		stored: make([]bool, len(nl.Gates)),
-	}
+// classifyGates classifies every gate's arrival. Classification is
+// structural only (delay-independent); correctness never depends on it —
+// the generic kernels are exact for every gate — it only decides which work
+// can be hoisted out of the lane loops and whether matchRCA applies.
+func classifyGates(nl *netlist.Netlist) []gateClass {
+	class := make([]gateClass, len(nl.Gates))
 	for _, g := range nl.Order {
 		gate := &nl.Gates[g]
 		switch gate.Kind {
 		case netlist.Input, netlist.Const0, netlist.Const1:
-			p.class[g] = classZeroArr
+			class[g] = classZeroArr
 			continue
 		}
 		constArr := true
@@ -146,7 +136,7 @@ func compileSliceProgram(nl *netlist.Netlist) *sliceProgram {
 			// No controlling value: arrival = max(fanin arrivals) + d, so
 			// the gate is const-arrival when every fanin is.
 			for _, f := range gate.Fanin {
-				if p.class[f] == classVar {
+				if class[f] == classVar {
 					constArr = false
 					break
 				}
@@ -157,32 +147,19 @@ func compileSliceProgram(nl *netlist.Netlist) *sliceProgram {
 			// the degenerate case where every fanin arrives at exactly 0
 			// (either branch then yields 0).
 			for _, f := range gate.Fanin {
-				if p.class[f] != classZeroArr {
+				if class[f] != classZeroArr {
 					constArr = false
 					break
 				}
 			}
 		}
 		if constArr {
-			p.class[g] = classConstArr
+			class[g] = classConstArr
 		} else {
-			p.class[g] = classVar
+			class[g] = classVar
 		}
 	}
-	p.rca = matchRCA(nl, p.class)
-	if p.rca != nil {
-		for _, ch := range p.rca.chains {
-			for _, st := range ch.stages {
-				p.stored[st.sum] = true
-				p.stored[st.cout] = true
-			}
-		}
-	} else {
-		for g, c := range p.class {
-			p.stored[g] = c == classVar
-		}
-	}
-	return p
+	return class
 }
 
 // matchRCA recognises netlists that are exactly a disjoint set of standard
@@ -340,7 +317,7 @@ func matchRCA(nl *netlist.Netlist, class []gateClass) *rcaProgram {
 type SlicedEngine struct {
 	nl     *netlist.Netlist
 	delays delay.Table
-	prog   *sliceProgram
+	prog   *program
 	// constArr holds challenge-independent arrivals: 0 for classZeroArr,
 	// the delay-table-derived constant for classConstArr; unused for
 	// classVar. Recomputed by SetDelays.
@@ -362,7 +339,7 @@ func NewSlicedEngine(nl *netlist.Netlist, delays delay.Table) *SlicedEngine {
 	}
 	e := &SlicedEngine{
 		nl:       nl,
-		prog:     compileSliceProgram(nl),
+		prog:     programFor(nl),
 		constArr: make([]float64, len(nl.Gates)),
 		values:   make([]uint64, len(nl.Gates)),
 		arrival:  make([]float64, len(nl.Gates)*Lanes),

@@ -224,3 +224,25 @@ func BenchmarkSlicedBlockCLA(b *testing.B) {
 	perChallenge := float64(b.Elapsed().Nanoseconds()) / float64(b.N*Lanes)
 	b.ReportMetric(perChallenge, "ns/challenge")
 }
+
+// BenchmarkEngineRun times one scalar Engine.Run over the 32-bit PUF
+// datapath: the fused paired pass for the ripple-carry adders, the op list
+// for carry-lookahead.
+func BenchmarkEngineRun(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		adder netlist.AdderKind
+	}{{"rca", netlist.AdderRCA}, {"cla", netlist.AdderCLA}} {
+		b.Run(tc.name, func(b *testing.B) {
+			nl := netlist.BuildPUFDatapath(netlist.PUFDatapathConfig{Width: 32, UseCarry: true, Adder: tc.adder}).Net
+			eng := NewEngine(nl, randomTable(nl, rng.New(75)))
+			ins := randomChallenges(rng.New(76), 64, len(nl.Inputs))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Run(ins[i%len(ins)])
+			}
+			b.ReportMetric(float64(len(nl.Order))*float64(b.N)/b.Elapsed().Seconds(), "gate-evals/s")
+		})
+	}
+}

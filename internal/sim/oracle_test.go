@@ -118,8 +118,9 @@ func TestRunMatchesOracle(t *testing.T) {
 }
 
 // TestEnginesShareCompiledProgram pins that the compiled program is built
-// once per netlist: engines, clones and SetDelays all run the same program,
-// and NewEngine allocates only the engine and its two scratch buffers.
+// once per netlist: scalar and bitsliced engines, their clones and SetDelays
+// all run the same program, NewEngine allocates only the engine and its two
+// scratch buffers, and NewSlicedEngine only the engine and its three.
 func TestEnginesShareCompiledProgram(t *testing.T) {
 	nl := netlist.BuildPUFDatapath(netlist.PUFDatapathConfig{Width: 16}).Net
 	src := rng.New(72)
@@ -127,8 +128,11 @@ func TestEnginesShareCompiledProgram(t *testing.T) {
 	eng := NewEngine(nl, tabA)
 	other := NewEngine(nl, tabB)
 	clone := eng.Clone()
-	if other.prog != eng.prog || clone.prog != eng.prog {
-		t.Fatal("engines over one netlist compiled separate programs")
+	sliced := NewSlicedEngine(nl, tabA)
+	for _, p := range []*program{other.prog, clone.prog, sliced.prog, sliced.Clone().prog} {
+		if p != eng.prog {
+			t.Fatal("engines over one netlist compiled separate programs")
+		}
 	}
 	clone.SetDelays(tabB)
 	assertRunMatchesOracle(t, nl, clone, tabB, src, 20)
@@ -140,4 +144,9 @@ func TestEnginesShareCompiledProgram(t *testing.T) {
 		t.Fatalf("NewEngine made %v allocations, want 3 (engine, values, arrivals)", n)
 	}
 	_ = sink
+	var slicedSink *SlicedEngine
+	if n := testing.AllocsPerRun(50, func() { slicedSink = NewSlicedEngine(nl, tabA) }); n != 4 {
+		t.Fatalf("NewSlicedEngine made %v allocations, want 4 (engine, const arrivals, values, arrival rows)", n)
+	}
+	_ = slicedSink
 }

@@ -5,13 +5,15 @@
 // analysis in a single topological pass: for every net it computes both its
 // Boolean value and the time at which that value becomes determined, taking
 // controlling values into account (an AND output is determined as soon as
-// its earliest 0-input arrives). It runs a compiled form of the netlist — a
-// flat op list with int32 fanin indices and a dedicated two-input kernel —
-// built once per netlist and shared by every engine over it. This is the
-// per-query engine (device queries, the verifier's emulation) because it is
-// allocation-free per query and an order of magnitude faster than
-// event-driven simulation. SlicedEngine (bitslice.go) runs the same
-// analysis for 64 challenges per pass for bulk batches.
+// its earliest 0-input arrives). It runs a compiled form of the netlist,
+// built once per netlist and shared by every engine over it: when the
+// netlist is the paper's paired ripple-carry datapath, one fused pass per
+// full-adder stage (runPairedRCA); otherwise a flat op list with int32
+// fanin indices and a dedicated two-input kernel. This is the per-query
+// engine (device queries, the verifier's emulation) because it is
+// allocation-free per query and far faster than event-driven simulation.
+// SlicedEngine (bitslice.go) runs the same analysis from the same compiled
+// program for 64 challenges per pass for bulk batches.
 //
 // The event-driven engine (EventSim) is a classic inertial-delay logic
 // simulator with a time-ordered event queue. It reproduces actual signal
@@ -53,14 +55,27 @@ type op struct {
 	a, b int32
 }
 
-// program is the compiled, delay-independent form of a netlist that
-// Engine.Run executes: the logic gates in topological order as flat ops.
-// It is built once per netlist (see programFor) and shared, read-only, by
-// every Engine and clone over that netlist.
+// program is the compiled, delay-independent form of a netlist that both
+// levelized engines run. It is built once per netlist (see programFor) and
+// shared, read-only, by every Engine, SlicedEngine and clone over that
+// netlist.
 type program struct {
+	// ops are the gates Engine.Run evaluates one by one, in topological
+	// order, as flat ops: every logic gate, or, when the fused scalar pass
+	// covers the full adders (fusedScalar), only the rest — the constants.
 	ops   []op
 	fanin []int32 // fanin lists of opNary ops
+	// class, stored and rca are the structural analysis (bitslice.go):
+	// which arrivals are challenge-independent, which the bitsliced pass
+	// keeps as lane rows, and the matched ripple-carry chains.
+	class  []gateClass
+	stored []bool
+	rca    *rcaProgram
 }
+
+// fusedScalar reports whether Engine.Run evaluates the full adders with
+// the fused paired pass (runPairedRCA) instead of the op list.
+func (p *program) fusedScalar() bool { return p.rca != nil && p.rca.paired }
 
 type programKey struct{}
 
@@ -70,14 +85,47 @@ func programFor(nl *netlist.Netlist) *program {
 	return nl.Derived(programKey{}, func(nl *netlist.Netlist) any { return compileProgram(nl) }).(*program)
 }
 
+// compileProgram classifies the gates, matches the ripple-carry chains and
+// lowers every logic gate the fused scalar pass does not write to ops.
 func compileProgram(nl *netlist.Netlist) *program {
-	p := &program{}
+	p := &program{class: classifyGates(nl), stored: make([]bool, len(nl.Gates))}
+	p.rca = matchRCA(nl, p.class)
+	if p.rca == nil {
+		for g, c := range p.class {
+			p.stored[g] = c == classVar
+		}
+		p.ops, p.fanin = compileOps(nl, nil)
+		return p
+	}
+	var fused []bool
+	if p.rca.paired {
+		fused = make([]bool, len(nl.Gates))
+	}
+	for _, ch := range p.rca.chains {
+		for _, st := range ch.stages {
+			p.stored[st.sum] = true
+			p.stored[st.cout] = true
+			if fused != nil {
+				for _, g := range [...]int{st.s1, st.c1, st.sum, st.c2, st.cout} {
+					fused[g] = true
+				}
+			}
+		}
+	}
+	p.ops, p.fanin = compileOps(nl, fused)
+	return p
+}
+
+// compileOps lowers the logic gates in topological order to flat ops,
+// leaving out the gates marked in skip (nil skips none).
+func compileOps(nl *netlist.Netlist, skip []bool) (ops []op, fanin []int32) {
 	for _, g := range nl.Order {
 		gate := &nl.Gates[g]
+		if gate.Kind == netlist.Input || skip != nil && skip[g] {
+			continue
+		}
 		o := op{nk: uint8(gate.Kind), out: int32(g)}
 		switch gate.Kind {
-		case netlist.Input:
-			continue
 		case netlist.Const0, netlist.Const1:
 			o.kind = opConst
 		case netlist.Buf, netlist.Not:
@@ -97,18 +145,18 @@ func compileProgram(nl *netlist.Netlist) *program {
 			}
 			fallthrough
 		default:
-			o.kind, o.a, o.b = opNary, int32(len(p.fanin)), int32(len(gate.Fanin))
+			o.kind, o.a, o.b = opNary, int32(len(fanin)), int32(len(gate.Fanin))
 			for _, f := range gate.Fanin {
-				p.fanin = append(p.fanin, int32(f))
+				fanin = append(fanin, int32(f))
 			}
 		}
 		switch gate.Kind {
 		case netlist.Not, netlist.Nand, netlist.Nor, netlist.Xnor, netlist.Const1:
 			o.inv = 1
 		}
-		p.ops = append(p.ops, o)
+		ops = append(ops, o)
 	}
-	return p
+	return ops, fanin
 }
 
 // Engine computes values and arrival times for a fixed netlist/delay-table
@@ -216,9 +264,46 @@ func (e *Engine) Run(inputs []uint8) (values []uint8, arrival []float64) {
 			runNary(o, p.fanin, vals, arr, d)
 		}
 	}
+	if p.fusedScalar() {
+		e.runPairedRCA()
+	}
 	levelizedPasses.Inc()
 	gateEvals.Add(uint64(len(e.nl.Order)))
 	return vals, arr
+}
+
+// runPairedRCA is Run's fused pass over the paired ripple-carry datapath
+// (rcaProgram.paired). Both chains see the same operand and carry values,
+// so each stage computes its five value bits once for both; each chain's
+// arrivals then follow pairedFAStage's recurrence on scalars. s1 = Xor(a,b)
+// and c1 = And(a,b) read only zero-arrival nets, so they arrive at 0 plus
+// their delay whatever the values (0 + d, not d, keeps a -0 delay's +0
+// result). Every full-adder gate's value and arrival is written, bit for
+// bit what the op list computes for it.
+func (e *Engine) runPairedRCA() {
+	vals, arr, d := e.values, e.arrival, e.delays.Ps
+	chA, chB := &e.prog.rca.chains[0], &e.prog.rca.chains[1]
+	vc := vals[chA.cin]
+	tcA, tcB := arr[chA.cin], arr[chB.cin]
+	for i := range chA.stages {
+		sa, sb := &chA.stages[i], &chB.stages[i]
+		va, vb := vals[sa.a], vals[sa.b]
+		s1, c1 := va^vb, va&vb
+		c2, sum := s1&vc, s1^vc
+		vals[sa.s1], vals[sa.c1], vals[sa.sum], vals[sa.c2] = s1, c1, sum, c2
+		vals[sb.s1], vals[sb.c1], vals[sb.sum], vals[sb.c2] = s1, c1, sum, c2
+		as1A, ac1A := 0+d[sa.s1], 0+d[sa.c1]
+		as1B, ac1B := 0+d[sb.s1], 0+d[sb.c1]
+		mA, mB := max(as1A, tcA), max(as1B, tcB)
+		t2A := min(min(as1A+andAdd[s1&1], tcA+andAdd[vc&1]), mA) + d[sa.c2]
+		t2B := min(min(as1B+andAdd[s1&1], tcB+andAdd[vc&1]), mB) + d[sb.c2]
+		tcA = min(min(ac1A+orAdd[c1&1], t2A+orAdd[c2&1]), max(ac1A, t2A)) + d[sa.cout]
+		tcB = min(min(ac1B+orAdd[c1&1], t2B+orAdd[c2&1]), max(ac1B, t2B)) + d[sb.cout]
+		arr[sa.s1], arr[sa.c1], arr[sa.sum], arr[sa.c2], arr[sa.cout] = as1A, ac1A, mA+d[sa.sum], t2A, tcA
+		arr[sb.s1], arr[sb.c1], arr[sb.sum], arr[sb.c2], arr[sb.cout] = as1B, ac1B, mB+d[sb.sum], t2B, tcB
+		vc = c1 | c2
+		vals[sa.cout], vals[sb.cout] = vc, vc
+	}
 }
 
 // runNary evaluates a gate whose fanin count is not two (the

@@ -4,11 +4,12 @@
 # Runs the tier-1 commands (build + full test suite), static vetting, vet
 # and tests of the nested bench module (so a change to an exported API it
 # calls fails here), one iteration of every root bench (so the paper-figure
-# and ablation regenerators keep running), and one race-detected run over
-# every package that runs work on goroutines: the attestation stack (fault
-# injection, retry, fleet and cluster sweeps, failover, admission,
-# shutdown), telemetry, the claim ledgers, the parallel batch engines, the
-# attacks' parallel training, and the dashboard.
+# and ablation regenerators keep running) and of every sim layer bench, and
+# one race-detected run over every package that runs work on goroutines:
+# the attestation stack (fault injection, retry, fleet and cluster sweeps,
+# failover, admission, shutdown), telemetry, the claim ledgers, the
+# parallel batch engines, the attacks' parallel training, and the
+# dashboard.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,6 +39,9 @@ echo "== bench module: go vet + go test (a nested module root ./... never builds
 
 echo "== root benches, one iteration each (paper figures, ablations, microbenchmarks)"
 go test -run '^$' -bench . -benchtime 1x .
+
+echo "== sim layer benches, one iteration each (scalar and bitsliced passes)"
+go test -run '^$' -bench . -benchtime 1x ./internal/sim
 
 echo "== go test -race (attestation, telemetry, claim ledgers, batch engines, attacks, dashboard)"
 go test -race $RACE_PKGS
