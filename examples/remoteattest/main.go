@@ -1,8 +1,14 @@
-// Remote attestation over TCP: the prover runs as a network service
-// wrapping the simulated embedded device; the verifier connects, challenges
-// it repeatedly, and also demonstrates that an impersonating device (a
-// different chip of the same design, running identical software) is
-// rejected because its PUF cannot produce the enrolled chip's responses.
+// Remote attestation over TCP: one enrolled node, built by NewSystem, runs
+// as a network service wrapping the simulated embedded device. The walk
+// goes through the paper's single-prover story (§4.2):
+//
+//   - a standalone PUF() query, reconstructed by the verifier from helper
+//     data alone;
+//   - attestation sessions over TCP, accepted;
+//   - the same node with patched firmware, rejected;
+//   - an impostor (a different chip of the same design, running identical
+//     software at the genuine clock), rejected because its PUF cannot
+//     produce the enrolled chip's responses.
 //
 // The last act attests across a *lossy* link: a deterministic fault
 // injector corrupts and drops frames, the CRC-validated codec detects the
@@ -25,60 +31,55 @@ import (
 )
 
 func main() {
-	params := pufatt.AttestParams{MemWords: 2048, Chunks: 16, BlocksPerChunk: 8}
 	payload := make([]uint32, 600)
 	for i := range payload {
 		payload[i] = pufatt.Mix32(uint32(i) + 99)
 	}
-	image, err := pufatt.BuildAttestationImage(params, payload)
-	if err != nil {
-		log.Fatal(err)
-	}
-	design, err := pufatt.NewDesign(pufatt.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
+	node := func(chip int) *pufatt.System {
+		sys, err := pufatt.NewSystem(pufatt.Options{
+			Attest:  pufatt.AttestParams{MemWords: 2048, Chunks: 16, BlocksPerChunk: 8},
+			Payload: payload,
+			Seed:    7,
+			ChipID:  chip,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return sys
 	}
 
-	// The genuine device, enrolled with the verifier.
-	genuine, err := pufatt.NewDevice(design, 7, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	genuinePort, err := pufatt.NewDevicePort(genuine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	genuineProver := pufatt.NewProver(image.Clone(), genuinePort, 1)
-	genuineProver.TuneClock(0.98)
+	// The genuine node: its verifier holds this chip's delay model H.
+	sys := node(0)
+	verifier := sys.Verifier
+	fmt.Printf("genuine node: chip %d, %d-bit responses, prover clock %.1f MHz\n",
+		sys.Device.ChipID(), sys.Design.ResponseBits(), sys.Prover.FreqHz/1e6)
 
-	// An impostor: same design, same software, different silicon.
-	impostor, err := pufatt.NewDevice(design, 7, 1)
+	// A standalone PUF() query: one challenge seed expands into eight ALU
+	// races; the verifier reconstructs the obfuscated output z from the
+	// helper data without ever seeing the raw responses.
+	z, verified, err := sys.QueryPUF(0xCAFE)
 	if err != nil {
 		log.Fatal(err)
 	}
-	impostorPort, err := pufatt.NewDevicePort(impostor)
-	if err != nil {
-		log.Fatal(err)
-	}
-	impostorProver := pufatt.NewProver(image.Clone(), impostorPort, genuineProver.FreqHz)
+	fmt.Printf("PUF(0xCAFE) = %08x, verifier reconstruction ok: %v\n", pufatt.ZWord(z), verified)
+
+	// An impostor: same design, same software, different silicon, clocked
+	// to the genuine node's frequency.
+	impostor := node(1).Prover
+	impostor.SetFreq(sys.Prover.FreqHz)
 
 	// Serve both on localhost.
-	genuineAddr, closeGenuine, err := pufatt.ServeProver("127.0.0.1:0", genuineProver)
+	genuineAddr, closeGenuine, err := pufatt.ServeProver("127.0.0.1:0", sys.Prover)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer closeGenuine()
-	impostorAddr, closeImpostor, err := pufatt.ServeProver("127.0.0.1:0", impostorProver)
+	impostorAddr, closeImpostor, err := pufatt.ServeProver("127.0.0.1:0", impostor)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer closeImpostor()
 
-	// The verifier was enrolled with the GENUINE chip's delay model.
-	verifier, err := pufatt.NewVerifier(image, genuine.Emulator(), genuineProver.FreqHz, genuinePort.Votes)
-	if err != nil {
-		log.Fatal(err)
-	}
 	link := pufatt.DefaultLink()
 	verifier.AllowNetwork(link)
 	fmt.Printf("verifier ready: δ = %.4fs over %s link\n", verifier.Delta(), link)
@@ -99,6 +100,19 @@ func main() {
 	}
 	fmt.Println("attesting the genuine device at", genuineAddr)
 	attestOver("genuine ", genuineAddr, 3)
+
+	// Infect the genuine node: 64 payload words patched. The checksum
+	// covers them, so the verdict flips; restoring them brings it back.
+	infect := func() {
+		for i := 0; i < 64; i++ {
+			sys.Prover.Image.Mem[sys.Image.Layout.PayloadAddr+i] ^= 0xFF
+		}
+	}
+	infect()
+	fmt.Println("attesting the genuine device with patched firmware")
+	attestOver("infected", genuineAddr, 1)
+	infect()
+
 	fmt.Println("attesting the impostor device at", impostorAddr)
 	attestOver("impostor", impostorAddr, 2)
 

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync/atomic"
 
 	"pufatt/internal/core"
 	"pufatt/internal/telemetry"
@@ -129,9 +128,8 @@ func (c Challenge) Bits() int {
 // exists so a decoder that finds the IDs mangled (or an extension it does
 // not understand) can DROP the trace context and keep the payload — trace
 // propagation is observability, and observability must never kill a
-// session. Writers emit v2 only while wire tracing is enabled
-// (SetWireTracing); a fleet with pre-v2 peers — whose decoders reject
-// unknown versions outright — disables it and loses nothing but stitching.
+// session. Writers emit v2 exactly when they carry a valid trace context
+// and v1 otherwise; decoders accept both.
 
 // Frame validation errors. All of them are transport-class faults: they say
 // the channel mangled a frame, not that the prover failed attestation.
@@ -171,21 +169,6 @@ const (
 	frameTime      byte = 0x03
 )
 
-// wireTracing gates v2 (trace-carrying) frame emission. On by default: two
-// current binaries stitch their traces automatically. Fleets with pre-v2
-// peers turn it off, because those decoders reject unknown versions.
-var wireTracing atomic.Bool
-
-func init() { wireTracing.Store(true) }
-
-// SetWireTracing enables or disables trace-context propagation on outgoing
-// frames (the version gate). Decoding is unconditional: v1 and v2 frames
-// are always accepted.
-func SetWireTracing(on bool) { wireTracing.Store(on) }
-
-// WireTracing reports whether outgoing frames carry trace contexts.
-func WireTracing() bool { return wireTracing.Load() }
-
 // encodeTraceExt renders the 20-byte trace extension block.
 func encodeTraceExt(tc telemetry.TraceContext) []byte {
 	ext := make([]byte, traceExtSize)
@@ -221,10 +204,10 @@ func writeFrame(w io.Writer, ftype byte, body []byte) error {
 }
 
 // writeFrameCtx emits one validated frame, attaching the trace context as a
-// v2 extension when it is valid and wire tracing is enabled (a v1 frame
-// otherwise). Still a single Write call.
+// v2 extension when it is valid (a v1 frame otherwise). Still a single
+// Write call.
 func writeFrameCtx(w io.Writer, ftype byte, body []byte, tc telemetry.TraceContext) error {
-	traced := tc.Valid() && wireTracing.Load()
+	traced := tc.Valid()
 	extra := 0
 	if traced {
 		extra = 2 + traceExtSize

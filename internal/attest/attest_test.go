@@ -188,6 +188,10 @@ func TestChallengeCodecRoundTrip(t *testing.T) {
 	if err := WriteChallenge(&buf, in); err != nil {
 		t.Fatal(err)
 	}
+	// No trace context, no extension: an untraced writer emits v1.
+	if got := buf.Bytes()[2]; got != frameVersion {
+		t.Fatalf("untraced frame version byte = %d, want v1 (%d)", got, frameVersion)
+	}
 	out, err := ReadChallenge(&buf)
 	if err != nil {
 		t.Fatal(err)

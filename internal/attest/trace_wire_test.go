@@ -72,24 +72,6 @@ func TestTracedChallengeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireTracingGateEmitsV1(t *testing.T) {
-	SetWireTracing(false)
-	defer SetWireTracing(true)
-	var buf bytes.Buffer
-	tc := telemetry.TraceContext{Trace: 1, Span: 2}
-	if err := WriteChallengeTraced(&buf, fixedChallenge(1, 9), tc); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[2]; got != frameVersion {
-		t.Fatalf("gated frame version byte = %d, want v1 (%d)", got, frameVersion)
-	}
-	if !WireTracing() {
-		// the gate reads back
-	} else {
-		t.Fatal("WireTracing() = true while disabled")
-	}
-}
-
 // tracedFrame builds a v2 challenge frame by hand, letting the test mangle
 // the extension while keeping the outer CRC valid.
 func tracedFrame(ch Challenge, ext []byte) []byte {

@@ -30,8 +30,6 @@
 package pufatt
 
 import (
-	"fmt"
-
 	"pufatt/internal/attest"
 	"pufatt/internal/core"
 	"pufatt/internal/crp"
@@ -147,8 +145,11 @@ type Options struct {
 	// ClockMargin sets the CPU frequency to this fraction of the PUF
 	// datapath's reliability limit (default 0.98, per Section 4.2).
 	ClockMargin float64
-	// UseCRPDatabase switches the verifier from emulation to a
-	// pre-enrolled CRP database with the given capacity.
+	// UseCRPDatabase bounds the verifier by a pre-enrolled CRP database
+	// with the given capacity: every session claims one enrolled seed as
+	// its challenge perturbation, and a session past the last seed fails
+	// as exhausted. The checksum still verifies against the emulation
+	// model, because it derives its PUF seeds from its running state.
 	UseCRPDatabase int
 }
 
@@ -161,7 +162,7 @@ type System struct {
 	Image    *Image
 	Prover   *Prover
 	Verifier *Verifier
-	// DB is non-nil when the system verifies against a CRP database.
+	// DB is non-nil when a CRP database bounds the verifier's sessions.
 	DB *CRPDatabase
 }
 
@@ -194,7 +195,10 @@ func NewSystem(opt Options) (*System, error) {
 	}
 	prover := attest.NewProver(image.Clone(), port, 1)
 	prover.TuneClock(opt.ClockMargin)
-	var src core.ReferenceSource
+	verifier, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	if err != nil {
+		return nil, err
+	}
 	var db *crp.Database
 	if opt.UseCRPDatabase > 0 {
 		seeds := make([]uint64, opt.UseCRPDatabase)
@@ -206,13 +210,7 @@ func NewSystem(opt Options) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		src = db
-	} else {
-		src = dev.Emulator()
-	}
-	verifier, err := attest.NewVerifier(image, src, prover.FreqHz, port.Votes)
-	if err != nil {
-		return nil, err
+		verifier.WithSeedBudget(db)
 	}
 	return &System{
 		Design:   design,
@@ -232,15 +230,6 @@ func (s *System) Attest(link Link) (Result, error) {
 		link = DefaultLink()
 	}
 	s.Verifier.AllowNetwork(link)
-	if s.DB != nil {
-		// CRP-database verification consumes one enrolled seed per run.
-		seed, err := s.DB.NextUnused()
-		if err != nil {
-			return Result{}, fmt.Errorf("pufatt: %w", err)
-		}
-		_ = seed // the checksum draws its own PUF seeds; the claim models
-		// the database's authentication budget.
-	}
 	return attest.RunSession(s.Verifier, s.Prover, link)
 }
 

@@ -2,6 +2,8 @@ package pufatt
 
 import (
 	"testing"
+
+	"pufatt/internal/attest"
 )
 
 func smallOptions() Options {
@@ -42,13 +44,17 @@ func TestSystemWithCRPDatabase(t *testing.T) {
 		t.Fatal("database not enrolled")
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := s.Attest(Link{}); err != nil {
+		res, err := s.Attest(Link{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if !res.Accepted {
+			t.Fatalf("honest session %d rejected: %s", i+1, res.Reason)
+		}
 	}
-	// Budget exhausted: the fourth authentication must fail.
-	if _, err := s.Attest(Link{}); err == nil {
-		t.Error("exhausted CRP database still authenticated")
+	// Budget exhausted: the fourth authentication must fail as exhausted.
+	if _, err := s.Attest(Link{}); !attest.IsExhausted(err) {
+		t.Errorf("fourth session past a 3-seed database: err = %v, want exhausted", err)
 	}
 }
 

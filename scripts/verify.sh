@@ -4,8 +4,9 @@
 # Runs the tier-1 commands (build + full test suite), static vetting, vet
 # and tests of the nested bench module (so a change to an exported API it
 # calls fails here), one iteration of every root bench (so the paper-figure
-# and ablation regenerators keep running) and of every sim layer bench, and
-# one race-detected run over every package that runs work on goroutines:
+# and ablation regenerators keep running) and of every sim layer bench, a
+# smoke run of every example that exits by itself, and one race-detected
+# run over every package that runs work on goroutines:
 # the attestation stack (fault injection, retry, fleet and cluster sweeps,
 # failover, admission, shutdown), telemetry, the claim ledgers, the
 # parallel batch engines, the attacks' parallel training, and the
@@ -42,6 +43,13 @@ go test -run '^$' -bench . -benchtime 1x .
 
 echo "== sim layer benches, one iteration each (scalar and bitsliced passes)"
 go test -run '^$' -bench . -benchtime 1x ./internal/sim
+
+echo "== examples: run each one that exits by itself (fleetwatch serves for its window)"
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    [ "$name" = fleetwatch ] && continue
+    go run "./examples/$name" >/dev/null
+done
 
 echo "== go test -race (attestation, telemetry, claim ledgers, batch engines, attacks, dashboard)"
 go test -race $RACE_PKGS
