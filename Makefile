@@ -1,7 +1,8 @@
 # Makefile — developer entry points. `make verify` is the gate: gofmt,
 # tier-1 build+tests, vet, the nested bench module's vet+tests, a one-pass
 # smoke run of the root paper-figure and ablation benches and of the sim
-# layer benches, a smoke run of the examples, and the race-detected suites.
+# layer benches, a smoke run of the examples and of the pufatt-attest CLI,
+# and the race-detected suites.
 #
 # The repository's benchmark is `bash bench/run.sh` (declared in
 # BENCHMARK.json, documented in bench/README.md): four workloads measured

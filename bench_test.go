@@ -135,17 +135,11 @@ func protocolFixture(b *testing.B, params swatt.Params) (*attest.Prover, *attest
 	if err != nil {
 		b.Fatal(err)
 	}
-	port, err := mcu.NewDevicePort(dev)
-	if err != nil {
-		b.Fatal(err)
-	}
 	image, err := swatt.BuildImage(params, make([]uint32, 256))
 	if err != nil {
 		b.Fatal(err)
 	}
-	prover := attest.NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
-	verifier, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, verifier, err := attest.NewPair(dev, image)
 	if err != nil {
 		b.Fatal(err)
 	}

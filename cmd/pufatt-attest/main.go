@@ -56,11 +56,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -69,7 +67,6 @@ import (
 	"pufatt/internal/buildinfo"
 	"pufatt/internal/core"
 	"pufatt/internal/crp/store"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
 	"pufatt/internal/telemetry"
@@ -195,8 +192,6 @@ func main() {
 		}
 	}
 
-	port, err := mcu.NewDevicePort(dev)
-	check(err)
 	payload := make([]uint32, 512)
 	paySrc := rng.New(*seed).Sub("payload")
 	for i := range payload {
@@ -204,8 +199,11 @@ func main() {
 	}
 	image, err := swatt.BuildImage(params, payload)
 	check(err)
-	prover := attest.NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
+	prover, v, err := attest.NewPair(dev, image)
+	check(err)
+	if budget != nil {
+		v.WithSeedBudget(budget)
+	}
 	if *infect {
 		for i := 0; i < 64; i++ {
 			prover.Image.Mem[image.Layout.PayloadAddr+i] ^= 0xFF
@@ -223,19 +221,8 @@ func main() {
 	policy.MaxAttempts = *retries
 	policy.AttemptTimeout = *attemptTO
 
-	newVerifier := func() *attest.Verifier {
-		v, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
-		check(err)
-		v.PUFEpoch = dev.Epoch()
-		if budget != nil {
-			v.WithSeedBudget(budget)
-		}
-		return v
-	}
-
 	switch *mode {
 	case "local":
-		v := newVerifier()
 		link := attest.DefaultLink()
 		fmt.Printf("device: chip %d, clock %.1f MHz, δ = %.4fs, link %s\n",
 			dev.ChipID(), prover.FreqHz/1e6, v.Delta(), link)
@@ -265,7 +252,6 @@ func main() {
 		fmt.Printf("prover (chip %d, %.1f MHz) listening on %s\n", dev.ChipID(), prover.FreqHz/1e6, addr)
 		select {} // serve forever
 	case "verify":
-		v := newVerifier()
 		inj := attest.NewFaultInjector(plan, *faultSeed)
 		if *faultLog {
 			inj.SetLog(os.Stderr)
@@ -387,17 +373,11 @@ func runFederate(addr, spec string, interval time.Duration) error {
 	// surface it rather than serving its last body as if it were fresh.
 	fed.SetStaleAfter(3 * interval)
 
-	ln, err := net.Listen("tcp", addr)
+	bound, closeSrv, err := telemetry.Serve(addr, fed.Mux())
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: fed.Mux()}
-	go func() {
-		if serr := srv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "pufatt-attest: federate:", serr)
-		}
-	}()
-	defer srv.Close()
+	defer closeSrv()
 
 	ctx, cancel := context.WithTimeout(context.Background(), interval)
 	ok := fed.Poll(ctx)
@@ -405,7 +385,7 @@ func runFederate(addr, spec string, interval time.Duration) error {
 	stop := fed.Start(interval)
 	defer stop()
 	fmt.Printf("federating %d source(s) on http://%s (merged /metrics/history, /devices, /alerts, /healthz; scrape health at /federation) — %d reachable\n",
-		len(sources), ln.Addr(), ok)
+		len(sources), bound, ok)
 	select {} // serve forever
 }
 

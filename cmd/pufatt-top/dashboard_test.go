@@ -12,7 +12,6 @@ import (
 	"pufatt/internal/attest"
 	"pufatt/internal/attest/cluster"
 	"pufatt/internal/core"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
 	"pufatt/internal/telemetry"
@@ -327,14 +326,11 @@ func TestFetchSnapshotUnreachable(t *testing.T) {
 // panels render must arrive filled in.
 func TestFetchSnapshotLiveProducers(t *testing.T) {
 	dev := core.MustNewDevice(core.MustNewDesign(core.DefaultConfig()), rng.New(5), 0)
-	port := mcu.MustNewDevicePort(dev)
 	image, err := swatt.BuildImage(swatt.Params{MemWords: 1024, Chunks: 4, BlocksPerChunk: 2, PRG: swatt.PRGMix32}, make([]uint32, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prover := attest.NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
-	v, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, v, err := attest.NewPair(dev, image)
 	if err != nil {
 		t.Fatal(err)
 	}

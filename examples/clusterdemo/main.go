@@ -27,16 +27,15 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"sort"
 
 	"pufatt/internal/attest"
 	"pufatt/internal/attest/cluster"
 	"pufatt/internal/core"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
+	"pufatt/internal/telemetry"
 )
 
 const devices = 12
@@ -78,20 +77,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		port, err := mcu.NewDevicePort(dev)
-		if err != nil {
-			log.Fatal(err)
-		}
-		prover := attest.NewProver(image.Clone(), port, 1)
-		prover.TuneClock(0.98)
 		// The emulator model answers the checksum's derived challenges; the
 		// Group is the replicated budget every session's x0 claims through.
-		v, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+		prover, v, err := attest.NewPair(dev, image)
 		if err != nil {
 			log.Fatal(err)
 		}
 		v.WithSeedBudget(g)
-		v.PUFEpoch = enr.Epoch()
 		v.Nonces = rng.New(uint64(id)*7 + 3).Uint32
 		v.AllowNetwork(link)
 		if err := c.Bind(id, v, prover, link); err != nil {
@@ -148,14 +140,12 @@ func main() {
 
 	// The admin surface: /ring is the placement view, /cluster the
 	// per-device replication state, /probes the canary statuses.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, closeAdmin, err := telemetry.Serve("127.0.0.1:0", cluster.AdminMux(c, nil))
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: cluster.AdminMux(c, nil)}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	resp, err := http.Get("http://" + ln.Addr().String() + "/ring")
+	defer closeAdmin()
+	resp, err := http.Get("http://" + addr.String() + "/ring")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"pufatt/internal/core"
 	"pufatt/internal/crp"
 	"pufatt/internal/crp/store"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
 )
@@ -108,10 +107,6 @@ func main() {
 
 	// --- One full attestation session against the recovered budget.
 	dev := devices[1]
-	port, err := mcu.NewDevicePort(dev)
-	if err != nil {
-		log.Fatal(err)
-	}
 	params := swatt.Params{MemWords: 1024, Chunks: 4, BlocksPerChunk: 2, PRG: swatt.PRGMix32}
 	payload := make([]uint32, 200)
 	src := rng.New(11)
@@ -122,9 +117,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prover := attest.NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
-	v, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, v, err := attest.NewPair(dev, image)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"pufatt/internal/core"
 	"pufatt/internal/crp"
 	"pufatt/internal/crp/store"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
 )
@@ -44,10 +43,6 @@ func main() {
 	dev := core.MustNewDevice(design, rng.New(42), 0)
 	twin := core.MustNewDevice(design, rng.New(42), 0)
 
-	port, err := mcu.NewDevicePort(dev)
-	if err != nil {
-		log.Fatal(err)
-	}
 	params := swatt.Params{MemWords: 1024, Chunks: 4, BlocksPerChunk: 2, PRG: swatt.PRGMix32}
 	payload := make([]uint32, 200)
 	src := rng.New(11)
@@ -58,9 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prover := attest.NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
-	verifier, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, verifier, err := attest.NewPair(dev, image)
 	if err != nil {
 		log.Fatal(err)
 	}

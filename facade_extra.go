@@ -2,9 +2,6 @@ package pufatt
 
 import (
 	"context"
-	"errors"
-	"net"
-	"net/http"
 	"time"
 
 	"pufatt/internal/attacks"
@@ -366,20 +363,14 @@ func NewFleetFederator(sources []ScrapeSource) (*FleetFederator, error) {
 // address (":0" picks a free port) and starts the scrape loop at the given
 // interval. The returned function stops both.
 func StartFederation(addr string, fed *FleetFederator, interval time.Duration) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
+	a, closeSrv, err := telemetry.Serve(addr, fed.Mux())
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: fed.Mux()}
-	go func() {
-		if serr := srv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			_ = serr // listener closed under us: nothing useful to do
-		}
-	}()
 	stopPoll := fed.Start(interval)
 	closeFn := func() error {
 		stopPoll()
-		return srv.Close()
+		return closeSrv()
 	}
-	return ln.Addr().String(), closeFn, nil
+	return a.String(), closeFn, nil
 }

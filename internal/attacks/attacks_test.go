@@ -26,7 +26,6 @@ type scenario struct {
 func newScenario(t *testing.T, seed uint64) *scenario {
 	t.Helper()
 	dev := core.MustNewDevice(core.MustNewDesign(core.DefaultConfig()), rng.New(seed), 0)
-	port := mcu.MustNewDevicePort(dev)
 	p := swatt.Params{MemWords: 1024, Chunks: 4, BlocksPerChunk: 16, PRG: swatt.PRGMix32}
 	payload := make([]uint32, 300)
 	src := rng.New(seed + 1)
@@ -37,9 +36,7 @@ func newScenario(t *testing.T, seed uint64) *scenario {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prover := attest.NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
-	verifier, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, verifier, err := attest.NewPair(dev, image)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +45,7 @@ func newScenario(t *testing.T, seed uint64) *scenario {
 	// ~700 MHz, so the verifier here plays the role of a local/VIPER-style
 	// checker with a fast bus and a tight allowance, derived so that the
 	// honest run fits comfortably and the forgery overhead cannot hide.
-	extra, honest, _, err := ForgeryOverheadCycles(image, port.Votes)
+	extra, honest, _, err := ForgeryOverheadCycles(image, prover.Port.Votes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +54,7 @@ func newScenario(t *testing.T, seed uint64) *scenario {
 	link := localLink()
 	linkCost := link.TransferSeconds(attest.ChallengeBits) + link.TransferSeconds((8+32)*8+8*p.Chunks*attest.HelperBitsPerWord+32)
 	verifier.NetworkAllowance = linkCost + 0.25*overheadT
-	return &scenario{dev: dev, port: port, image: image, prover: prover, verifier: verifier, params: p}
+	return &scenario{dev: dev, port: prover.Port, image: image, prover: prover, verifier: verifier, params: p}
 }
 
 // localLink models the verifier sitting on a fast local bus (the VIPER
@@ -154,9 +151,9 @@ func TestOverclockedForgeryDefeatedByPUF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The base frequency is tuned to 0.98 of the PUF limit, so factor>1.02
-	// overclocks past it.
-	if factor*0.98 <= 1.0 {
+	// The base frequency is tuned to attest.ClockMargin of the PUF limit,
+	// so a factor above its inverse overclocks past it.
+	if factor*attest.ClockMargin <= 1.0 {
 		t.Skipf("forgery overhead too small to force an unreliable clock (factor %v)", factor)
 	}
 	forger, err := NewOverclockedForgeryProver(s.image, []uint32{0xBAD}, s.port, s.prover.FreqHz, factor*1.05)

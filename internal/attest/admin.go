@@ -1,7 +1,6 @@
 package attest
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -115,17 +114,7 @@ func AdminMux(t *Telemetry) *http.ServeMux {
 // listener and aborts in-flight requests. A nil Telemetry serves the
 // package default.
 func StartAdmin(addr string, t *Telemetry) (net.Addr, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := &http.Server{Handler: AdminMux(t)}
-	go func() {
-		if serr := srv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			_ = serr // listener closed under us: nothing useful to do
-		}
-	}()
-	return ln.Addr(), srv.Close, nil
+	return telemetry.Serve(addr, AdminMux(t))
 }
 
 // StartAdmin attaches an admin endpoint to the prover server's lifecycle:

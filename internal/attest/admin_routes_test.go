@@ -352,7 +352,7 @@ func TestFlightDumpsBounded(t *testing.T) {
 		if err != nil || len(dumps) > maxFlightDumps {
 			t.Fatalf("sweep %d: %d dumps on disk (err=%v), want at most %d", i+1, len(dumps), err, maxFlightDumps)
 		}
-		listed, err := flightFiles.List(dir)
+		listed, err := flightRing("transport").List(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func TestFlightDumpsBounded(t *testing.T) {
 		}
 		newest = last
 	}
-	if listed, _ := flightFiles.List(dir); len(listed) != maxFlightDumps {
+	if listed, _ := flightRing("transport").List(dir); len(listed) != maxFlightDumps {
 		t.Fatalf("dumps after the storm = %d, want %d", len(listed), maxFlightDumps)
 	}
 	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("flight-%d-transport.jsonl", leftover))); !os.IsNotExist(err) {
@@ -370,6 +370,47 @@ func TestFlightDumpsBounded(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "flight-notes.txt")); err != nil {
 		t.Fatalf("non-dump file removed: %v", err)
+	}
+}
+
+// TestFlightRejectedDumpSurvivesTransportStorm writes one rejected
+// session's dump and then storms the same directory with transport
+// failures: the rejection is security evidence and must outlive any amount
+// of availability noise, and no trigger keeps more than maxFlightDumps.
+func TestFlightRejectedDumpSurvivesTransportStorm(t *testing.T) {
+	f := newFixture(t, 66)
+	T := newFleetTelemetry()
+	dir := t.TempDir()
+	T.SetFlightDir(dir)
+	infected := NewProver(f.image.Clone(), f.prover.Port, f.prover.FreqHz)
+	for i := 0; i < 50; i++ {
+		infected.Image.Mem[f.image.Layout.PayloadAddr+i] ^= 0x1
+	}
+	res, _, err := T.RunSessionRetry(context.Background(), f.verifier, infected, DefaultLink(), RetryPolicy{MaxAttempts: 1})
+	if err != nil || res.Accepted {
+		t.Fatalf("infected session: accepted=%v err=%v, want a rejection", res.Accepted, err)
+	}
+	rejected, err := filepath.Glob(filepath.Join(dir, "flight-*-rejected.jsonl"))
+	if err != nil || len(rejected) != 1 {
+		t.Fatalf("rejected dumps = %v (err=%v), want one", rejected, err)
+	}
+
+	fleet := NewFleet()
+	fleet.Telemetry = T
+	if err := fleet.Enroll(1, f.verifier, NewFaultyLink(f.prover, FaultPlan{Drop: 1}, 9), DefaultLink()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*maxFlightDumps; i++ {
+		fleet.Sweep(context.Background(), RetryPolicy{MaxAttempts: 1})
+	}
+	for trigger, want := range map[string]int{"rejected": 1, "transport": maxFlightDumps} {
+		dumps, err := filepath.Glob(filepath.Join(dir, "flight-*-"+trigger+".jsonl"))
+		if err != nil || len(dumps) != want {
+			t.Errorf("%s dumps after the storm = %d (err=%v), want %d", trigger, len(dumps), err, want)
+		}
+	}
+	if _, err := os.Stat(rejected[0]); err != nil {
+		t.Fatalf("rejected dump evicted by transport failures: %v", err)
 	}
 }
 

@@ -27,7 +27,6 @@ type fixture struct {
 func newFixture(t *testing.T, seed uint64) *fixture {
 	t.Helper()
 	dev := core.MustNewDevice(core.MustNewDesign(core.DefaultConfig()), rng.New(seed), 0)
-	port := mcu.MustNewDevicePort(dev)
 	p := swatt.Params{MemWords: 1024, Chunks: 4, BlocksPerChunk: 2, PRG: swatt.PRGMix32}
 	payload := make([]uint32, 200)
 	src := rng.New(seed + 1)
@@ -38,9 +37,7 @@ func newFixture(t *testing.T, seed uint64) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prover := NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
-	verifier, err := NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, verifier, err := NewPair(dev, image)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"pufatt/internal/core"
 	"pufatt/internal/crp"
 	"pufatt/internal/ecc"
-	"pufatt/internal/mcu"
 	"pufatt/internal/obfuscate"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
@@ -365,21 +364,14 @@ func bindTestDeviceVia(t *testing.T, c *Cluster, id, numSeeds int, wrap func(att
 	if err != nil {
 		t.Fatal(err)
 	}
-	port, err := mcu.NewDevicePort(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prover := attest.NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
 	link := attest.DefaultLink()
 	// Emulator as reference source, Group as the replicated claim budget —
 	// the same split the in-process budgets use.
-	v, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, v, err := attest.NewPair(dev, image)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v.WithSeedBudget(g)
-	v.PUFEpoch = enr.Epoch()
 	v.Nonces = rng.New(uint64(id)*3 + 7).Uint32
 	v.AllowNetwork(link)
 	var agent attest.ProverAgent = prover

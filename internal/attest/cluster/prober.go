@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"pufatt/internal/attest"
 	"pufatt/internal/core"
 	"pufatt/internal/crp"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
 	"pufatt/internal/telemetry"
@@ -159,13 +157,7 @@ func NewProber(c *Cluster, cfg ProberConfig) (*Prober, error) {
 			return nil, fmt.Errorf("cluster: canary for shard %s: %w", sid, err)
 		}
 		budget := crp.NewLedger(enr)
-		port, err := mcu.NewDevicePort(dev)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: canary for shard %s: %w", sid, err)
-		}
-		prover := attest.NewProver(image.Clone(), port, 1)
-		prover.TuneClock(0.98)
-		v, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+		prover, v, err := attest.NewPair(dev, image)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: canary for shard %s: %w", sid, err)
 		}
@@ -308,29 +300,6 @@ func (p *Prober) Status() []ProbeStatus {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
 	return out
-}
-
-// Start probes every shard once per interval (<=0 means one minute) until
-// the returned stop function is called.
-func (p *Prober) Start(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				p.ProbeAll(context.Background())
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }
 
 // AlertRules derives the per-shard probe-failure burn rules for this

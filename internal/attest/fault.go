@@ -281,16 +281,11 @@ func (fi *FaultInjector) Wrap(rw io.ReadWriter) *FaultyConn {
 	return &FaultyConn{rw: rw, faultState: fi.state}
 }
 
-// WrapAgent attaches an in-memory agent to the schedule.
-func (fi *FaultInjector) WrapAgent(agent ProverAgent) *FaultyLink {
-	return &FaultyLink{agent: agent, faultState: fi.state}
-}
-
 // Counts reports how many faults of each class have been injected so far.
 func (fi *FaultInjector) Counts() map[FaultClass]int { return fi.state.Counts() }
 
 // SetLog directs one-line JSON FaultEvent records to w on every injected
-// fault across all conns and agents sharing this schedule (nil disables).
+// fault across all conns sharing this schedule (nil disables).
 func (fi *FaultInjector) SetLog(w io.Writer) { fi.state.SetLog(w) }
 
 // Injected reports the total number of injected faults so far.

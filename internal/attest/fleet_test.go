@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pufatt/internal/core"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
 )
@@ -23,10 +22,7 @@ func buildFleet(t *testing.T, nodes int) (*Fleet, []*Prover, *swatt.Image) {
 	link := DefaultLink()
 	for id := 0; id < nodes; id++ {
 		dev := core.MustNewDevice(design, rng.New(500), id)
-		port := mcu.MustNewDevicePort(dev)
-		prover := NewProver(image.Clone(), port, 1)
-		prover.TuneClock(0.98)
-		v, err := NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+		prover, v, err := NewPair(dev, image)
 		if err != nil {
 			t.Fatal(err)
 		}

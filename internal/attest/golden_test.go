@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pufatt/internal/core"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
 )
@@ -41,14 +40,10 @@ func goldenSession(t *testing.T, name string, seed uint64) string {
 	if name == "epoch" {
 		dev.SetEpoch(1)
 	}
-	port := mcu.MustNewDevicePort(dev)
-	prover := NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
-	verifier, err := NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, verifier, err := NewPair(dev, image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifier.PUFEpoch = dev.Epoch()
 	verifier.Nonces = rng.New(seed + 2).Uint32
 
 	malware := make([]uint32, 50)
@@ -59,11 +54,11 @@ func goldenSession(t *testing.T, name string, seed uint64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	honestCycles, err := swatt.ExpectedCycles(image, port.Votes)
+	honestCycles, err := swatt.ExpectedCycles(image, prover.Port.Votes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forgedCycles, err := swatt.ExpectedCycles(forgery, port.Votes)
+	forgedCycles, err := swatt.ExpectedCycles(forgery, prover.Port.Votes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +78,14 @@ func goldenSession(t *testing.T, name string, seed uint64) string {
 		// the verifier's timing follows it, but the enrolled emulation
 		// model does not: the responses drift and Recover must absorb it.
 		dev.Age(8760, 0.5)
-		prover.TuneClock(0.98)
+		prover.SetFreq(prover.Port.MaxReliableFreqHz() * ClockMargin)
 		verifier.BaseFreqHz = prover.FreqHz
 	case "forged":
-		agent = NewProver(forgery, port, prover.FreqHz)
+		agent = NewProver(forgery, prover.Port, prover.FreqHz)
 	case "overclocked":
 		// Clock the forgery up until its compute time matches the honest
 		// one, so the session gets past δ to the PUF check.
-		agent = NewProver(forgery, port, prover.FreqHz*float64(forgedCycles)/float64(honestCycles))
+		agent = NewProver(forgery, prover.Port, prover.FreqHz*float64(forgedCycles)/float64(honestCycles))
 	default:
 		t.Fatalf("unknown golden case %q", name)
 	}

@@ -19,9 +19,6 @@ import (
 // capturing, the default) — the profiling analogue of SetFlightDir.
 func (t *Telemetry) SetProfileDir(dir string) { t.Profiler.SetDir(dir) }
 
-// ProfileDir returns the configured profile-ring directory.
-func (t *Telemetry) ProfileDir() string { return t.Profiler.Dir() }
-
 // profileOnAlert captures a profile for a rule that just transitioned to
 // firing. Runs on the alert transition hook, outside the alert manager's
 // lock; the profiler's own single-flight guard absorbs a burst of

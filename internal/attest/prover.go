@@ -3,6 +3,7 @@ package attest
 import (
 	"fmt"
 
+	"pufatt/internal/core"
 	"pufatt/internal/mcu"
 	"pufatt/internal/swatt"
 )
@@ -22,7 +23,7 @@ type Prover struct {
 	Port  *mcu.DevicePort
 	// FreqHz is the CPU clock. The paper requires it to sit just under the
 	// PUF datapath's reliability limit so any overclocking corrupts
-	// responses; use TuneClock for that.
+	// responses; NewPair tunes it with TuneClock(ClockMargin).
 	FreqHz float64
 	// MaxCycles bounds one attestation run (guards against runaway
 	// programs).
@@ -37,12 +38,38 @@ func NewProver(image *swatt.Image, port *mcu.DevicePort, freqHz float64) *Prover
 }
 
 // TuneClock sets the CPU frequency to margin × the PUF datapath's maximum
-// reliable frequency (margin slightly below 1, e.g. 0.98): the operating
-// point Section 4.2 prescribes, where any frequency increase violates the
-// PUF's setup-time condition.
+// reliable frequency (margin slightly below 1, e.g. ClockMargin): the
+// operating point Section 4.2 prescribes, where any frequency increase
+// violates the PUF's setup-time condition.
 func (p *Prover) TuneClock(margin float64) {
 	p.FreqHz = p.Port.MaxReliableFreqHz() * margin
 	p.Port.SetClock(p.FreqHz)
+}
+
+// ClockMargin is the fraction of the PUF datapath's maximum reliable
+// frequency an honest prover runs at (Section 4.2): just under the limit,
+// so any overclocking corrupts PUF responses.
+const ClockMargin = 0.98
+
+// NewPair builds the enrolled prover/verifier pair over one device: the
+// prover runs a clone of image on the device's port at ClockMargin × F_base,
+// and the verifier checks against image and the device's emulation model,
+// deriving δ from the prover's clock and the port's vote count, at the
+// device's current epoch. Callers set only what differs per deployment
+// (budget, device name, nonces, network allowance).
+func NewPair(dev *core.Device, image *swatt.Image) (*Prover, *Verifier, error) {
+	port, err := mcu.NewDevicePort(dev)
+	if err != nil {
+		return nil, nil, err
+	}
+	prover := NewProver(image.Clone(), port, 1)
+	prover.TuneClock(ClockMargin)
+	verifier, err := NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	if err != nil {
+		return nil, nil, err
+	}
+	verifier.PUFEpoch = dev.Epoch()
+	return prover, verifier, nil
 }
 
 // SetFreq overrides the CPU clock (used by the overclocking adversary).

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"pufatt/internal/core"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
 )
@@ -715,10 +714,7 @@ func buildResilientFleet(t *testing.T, nodes int, spec fleetSpec) *Fleet {
 	link := DefaultLink()
 	for id := 0; id < nodes; id++ {
 		dev := core.MustNewDevice(design, rng.New(900), id)
-		port := mcu.MustNewDevicePort(dev)
-		prover := NewProver(image.Clone(), port, 1)
-		prover.TuneClock(0.98)
-		v, err := NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+		prover, v, err := NewPair(dev, image)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -870,10 +866,7 @@ func TestFleetQuarantineRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := core.MustNewDevice(design, rng.New(901), 5)
-	port := mcu.MustNewDevicePort(dev)
-	prover := NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
-	v, err := NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, v, err := NewPair(dev, image)
 	if err != nil {
 		t.Fatal(err)
 	}

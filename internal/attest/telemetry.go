@@ -293,21 +293,7 @@ func (t *Telemetry) StartObservability(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = t.History.Window()
 	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				t.ObserveFleet()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
+	return telemetry.Every(interval, t.ObserveFleet)
 }
 
 // tel is the package-default telemetry: every instrument registered on the

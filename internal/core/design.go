@@ -158,10 +158,6 @@ func NewDesign(cfg Config) (*Design, error) {
 	return d, nil
 }
 
-// GateSkewPs returns the design's per-gate routing skew table (nil for
-// ASIC designs).
-func (d *Design) GateSkewPs() []float64 { return d.gateSkewPs }
-
 // MustNewDesign is NewDesign that panics on error.
 func MustNewDesign(cfg Config) *Design {
 	d, err := NewDesign(cfg)

@@ -4,7 +4,6 @@ import (
 	"pufatt/internal/attacks"
 	"pufatt/internal/attest"
 	"pufatt/internal/core"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/secgame"
 	"pufatt/internal/swatt"
@@ -21,10 +20,6 @@ func SecurityGames(seed uint64, trials int) (*secgame.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	port, err := mcu.NewDevicePort(dev)
-	if err != nil {
-		return nil, err
-	}
 	p := swatt.Params{MemWords: 1024, Chunks: 4, BlocksPerChunk: 16, PRG: swatt.PRGMix32}
 	payload := make([]uint32, 300)
 	paySrc := rng.New(seed).Sub("payload")
@@ -35,13 +30,11 @@ func SecurityGames(seed uint64, trials int) (*secgame.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	honest := attest.NewProver(image.Clone(), port, 1)
-	honest.TuneClock(0.98)
-	verifier, err := attest.NewVerifier(image, dev.Emulator(), honest.FreqHz, port.Votes)
+	honest, verifier, err := attest.NewPair(dev, image)
 	if err != nil {
 		return nil, err
 	}
-	extra, honestCycles, _, err := attacks.ForgeryOverheadCycles(image, port.Votes)
+	extra, honestCycles, _, err := attacks.ForgeryOverheadCycles(image, honest.Port.Votes)
 	if err != nil {
 		return nil, err
 	}
@@ -51,19 +44,19 @@ func SecurityGames(seed uint64, trials int) (*secgame.Report, error) {
 		link.TransferSeconds(verifier.ExpectedResponseBits()) +
 		0.25*float64(extra)/honest.FreqHz
 
-	infected := attest.NewProver(image.Clone(), port, honest.FreqHz)
+	infected := attest.NewProver(image.Clone(), honest.Port, honest.FreqHz)
 	for i := 0; i < 64; i++ {
 		infected.Image.Mem[image.Layout.PayloadAddr+i] ^= 0xFF
 	}
-	forger, err := attacks.NewForgeryProver(image, []uint32{0xBAD}, port, honest.FreqHz)
+	forger, err := attacks.NewForgeryProver(image, []uint32{0xBAD}, honest.Port, honest.FreqHz)
 	if err != nil {
 		return nil, err
 	}
-	factor, err := attacks.OverclockFactorToHide(image, port.Votes, verifier.ComputeSlack)
+	factor, err := attacks.OverclockFactorToHide(image, honest.Port.Votes, verifier.ComputeSlack)
 	if err != nil {
 		return nil, err
 	}
-	ocForger, err := attacks.NewOverclockedForgeryProver(image, []uint32{0xBAD}, port, honest.FreqHz, factor*1.05)
+	ocForger, err := attacks.NewOverclockedForgeryProver(image, []uint32{0xBAD}, honest.Port, honest.FreqHz, factor*1.05)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"pufatt/internal/attacks"
 	"pufatt/internal/attest"
 	"pufatt/internal/core"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
 )
@@ -72,10 +71,6 @@ func RunSecuritySuite(cfg SecurityConfig) (*SecurityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	port, err := mcu.NewDevicePort(dev)
-	if err != nil {
-		return nil, err
-	}
 	payload := make([]uint32, 256)
 	paySrc := rng.New(cfg.Seed).Sub("payload")
 	for i := range payload {
@@ -85,15 +80,13 @@ func RunSecuritySuite(cfg SecurityConfig) (*SecurityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prover := attest.NewProver(image.Clone(), port, 1)
-	prover.TuneClock(0.98)
-	verifier, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, verifier, err := attest.NewPair(dev, image)
 	if err != nil {
 		return nil, err
 	}
 	// Local-bus timing policy derived from the measured forgery overhead
 	// (see attacks package tests): honest fits, forgery cannot hide.
-	extra, honest, forged, err := attacks.ForgeryOverheadCycles(image, port.Votes)
+	extra, honest, forged, err := attacks.ForgeryOverheadCycles(image, prover.Port.Votes)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +101,7 @@ func RunSecuritySuite(cfg SecurityConfig) (*SecurityResult, error) {
 		ForgedCycles: forged,
 		Delta:        verifier.Delta(),
 	}
-	res.OverclockFactorNeeded, _ = attacks.OverclockFactorToHide(image, port.Votes, verifier.ComputeSlack)
+	res.OverclockFactorNeeded, _ = attacks.OverclockFactorToHide(image, prover.Port.Votes, verifier.ComputeSlack)
 
 	runOne := func(name, expected string, agent attest.ProverAgent, detail string) error {
 		ch := attest.Challenge{Session: uint64(len(res.Outcomes) + 1), Nonce: 0x5eed + uint32(len(res.Outcomes)), PUFSeed: 0x9000}
@@ -134,7 +127,7 @@ func RunSecuritySuite(cfg SecurityConfig) (*SecurityResult, error) {
 	}
 
 	// Naive malware: infected memory, unmodified checksum.
-	infected := attest.NewProver(image.Clone(), port, prover.FreqHz)
+	infected := attest.NewProver(image.Clone(), prover.Port, prover.FreqHz)
 	for i := 0; i < 64; i++ {
 		infected.Image.Mem[image.Layout.PayloadAddr+i] ^= 0xFF
 	}
@@ -143,7 +136,7 @@ func RunSecuritySuite(cfg SecurityConfig) (*SecurityResult, error) {
 	}
 
 	// Memory-copy forgery at the honest clock.
-	forger, err := attacks.NewForgeryProver(image, []uint32{0xBAD, 0xC0DE}, port, prover.FreqHz)
+	forger, err := attacks.NewForgeryProver(image, []uint32{0xBAD, 0xC0DE}, prover.Port, prover.FreqHz)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +147,7 @@ func RunSecuritySuite(cfg SecurityConfig) (*SecurityResult, error) {
 
 	// Overclocked forgery.
 	ocFactor := res.OverclockFactorNeeded * 1.05
-	ocForger, err := attacks.NewOverclockedForgeryProver(image, []uint32{0xBAD, 0xC0DE}, port, prover.FreqHz, ocFactor)
+	ocForger, err := attacks.NewOverclockedForgeryProver(image, []uint32{0xBAD, 0xC0DE}, prover.Port, prover.FreqHz, ocFactor)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +156,7 @@ func RunSecuritySuite(cfg SecurityConfig) (*SecurityResult, error) {
 		return nil, err
 	}
 	// Restore the port clock for subsequent users of the device.
-	port.SetClock(prover.FreqHz)
+	prover.Port.SetClock(prover.FreqHz)
 
 	// PUF-oracle proxy over the radio link.
 	proxy := &attacks.OracleProxyProver{
@@ -214,7 +207,7 @@ func RunSecuritySuite(cfg SecurityConfig) (*SecurityResult, error) {
 	res.MLObfFullZ = float64(full) / float64(trials)
 
 	// Overclock corruption curve (device physics level).
-	res.Overclock = attacks.OverclockSweep(dev, port, cfg.OverclockFactors, cfg.OverclockTrials, rng.New(cfg.Seed+7))
+	res.Overclock = attacks.OverclockSweep(dev, prover.Port, cfg.OverclockFactors, cfg.OverclockTrials, rng.New(cfg.Seed+7))
 	return res, nil
 }
 

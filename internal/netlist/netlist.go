@@ -174,9 +174,6 @@ func (n *Netlist) Derived(key any, build func(*Netlist) any) any {
 	return v
 }
 
-// NumGates returns the total number of gates, including Input pseudo-gates.
-func (n *Netlist) NumGates() int { return len(n.Gates) }
-
 // CountKind returns how many gates of kind k the netlist contains.
 func (n *Netlist) CountKind(k Kind) int {
 	c := 0

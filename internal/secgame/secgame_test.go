@@ -9,7 +9,6 @@ import (
 	"pufatt/internal/attacks"
 	"pufatt/internal/attest"
 	"pufatt/internal/core"
-	"pufatt/internal/mcu"
 	"pufatt/internal/rng"
 	"pufatt/internal/swatt"
 )
@@ -20,7 +19,6 @@ import (
 func buildWorld(t *testing.T) (*Experiment, *attest.Prover, map[string]attest.ProverAgent) {
 	t.Helper()
 	dev := core.MustNewDevice(core.MustNewDesign(core.DefaultConfig()), rng.New(100), 0)
-	port := mcu.MustNewDevicePort(dev)
 	p := swatt.Params{MemWords: 1024, Chunks: 4, BlocksPerChunk: 16, PRG: swatt.PRGMix32}
 	payload := make([]uint32, 300)
 	src := rng.New(101)
@@ -31,13 +29,11 @@ func buildWorld(t *testing.T) (*Experiment, *attest.Prover, map[string]attest.Pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := attest.NewProver(image.Clone(), port, 1)
-	honest.TuneClock(0.98)
-	verifier, err := attest.NewVerifier(image, dev.Emulator(), honest.FreqHz, port.Votes)
+	honest, verifier, err := attest.NewPair(dev, image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra, honestCycles, _, err := attacks.ForgeryOverheadCycles(image, port.Votes)
+	extra, honestCycles, _, err := attacks.ForgeryOverheadCycles(image, honest.Port.Votes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,19 +43,19 @@ func buildWorld(t *testing.T) (*Experiment, *attest.Prover, map[string]attest.Pr
 		link.TransferSeconds((8+32)*8+8*p.Chunks*attest.HelperBitsPerWord+32) +
 		0.25*float64(extra)/honest.FreqHz
 
-	infected := attest.NewProver(image.Clone(), port, honest.FreqHz)
+	infected := attest.NewProver(image.Clone(), honest.Port, honest.FreqHz)
 	for i := 0; i < 64; i++ {
 		infected.Image.Mem[image.Layout.PayloadAddr+i] ^= 0xFF
 	}
-	forger, err := attacks.NewForgeryProver(image, []uint32{0xBAD}, port, honest.FreqHz)
+	forger, err := attacks.NewForgeryProver(image, []uint32{0xBAD}, honest.Port, honest.FreqHz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factor, err := attacks.OverclockFactorToHide(image, port.Votes, verifier.ComputeSlack)
+	factor, err := attacks.OverclockFactorToHide(image, honest.Port.Votes, verifier.ComputeSlack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ocForger, err := attacks.NewOverclockedForgeryProver(image, []uint32{0xBAD}, port, honest.FreqHz, factor*1.05)
+	ocForger, err := attacks.NewOverclockedForgeryProver(image, []uint32{0xBAD}, honest.Port, honest.FreqHz, factor*1.05)
 	if err != nil {
 		t.Fatal(err)
 	}

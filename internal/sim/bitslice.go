@@ -328,7 +328,6 @@ type SlicedEngine struct {
 	// arrival holds per-lane arrival rows, lane-major (arrival[g*Lanes+l]).
 	// Only rows of stored gates are maintained.
 	arrival []float64
-	lanes   int
 }
 
 // NewSlicedEngine returns a bitsliced engine over the netlist with the given
@@ -436,14 +435,10 @@ func (e *SlicedEngine) RunBlock(inputs []uint64, lanes int) {
 	} else {
 		e.runGeneric()
 	}
-	e.lanes = lanes
 	bitslicePasses.Inc()
 	// Effective work: every active lane is a full levelized evaluation.
 	gateEvals.Add(uint64(len(nl.Order)) * uint64(lanes))
 }
-
-// LastLanes returns the active lane count of the most recent RunBlock.
-func (e *SlicedEngine) LastLanes() int { return e.lanes }
 
 // Value returns net g's value for challenge lane l of the last RunBlock.
 func (e *SlicedEngine) Value(g, l int) uint8 {

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -31,6 +33,53 @@ func GetOnly(contentType string, fn http.HandlerFunc) http.HandlerFunc {
 		}
 		w.Header().Set("Content-Type", contentType)
 		fn(w, r)
+	}
+}
+
+// Serve serves handler over HTTP on the TCP address (":0" picks a free
+// port) and returns the bound address plus a close function that stops the
+// listener and aborts in-flight requests. The close function closes the
+// listener itself too: http.Server.Close only reaches a listener its Serve
+// goroutine has already registered, so a close that wins the race with
+// that goroutine would otherwise leave the port accepting.
+func Serve(addr string, handler http.Handler) (net.Addr, func() error, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := &http.Server{Handler: handler}
+	go func() { _ = srv.Serve(ln) }() // returns once closed; nothing to act on
+	closeFn := func() error {
+		defer ln.Close() // srv.Close already closed it if Serve had registered it
+		return srv.Close()
+	}
+	return ln.Addr(), closeFn, nil
+}
+
+// Every calls fn every interval (which must be positive) on a background
+// goroutine until the returned stop function is called. stop is idempotent
+// and returns only after the goroutine has exited, so no call of fn runs
+// once stop has returned.
+func Every(interval time.Duration, fn func()) (stop func()) {
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				fn()
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
 	}
 }
 

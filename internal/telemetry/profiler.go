@@ -275,21 +275,7 @@ func (p *Profiler) Start(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = DefaultProfileInterval
 	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				_, _, _ = p.Capture("periodic", CaptureMeta{})
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
+	return Every(interval, func() { _, _, _ = p.Capture("periodic", CaptureMeta{}) })
 }
 
 // Recent returns the sidecar index newest first — the /debug/profiles

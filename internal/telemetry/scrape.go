@@ -225,23 +225,11 @@ func (f *Federator) Start(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = DefaultTimeSeriesWindow
 	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), interval)
-				f.Poll(ctx)
-				cancel()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
+	return Every(interval, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), interval)
+		f.Poll(ctx)
+		cancel()
+	})
 }
 
 // stale reports whether a source's data is stale under the staleAfter

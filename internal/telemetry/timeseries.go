@@ -498,29 +498,3 @@ func (ts *TimeSeries) History(q RangeQuery) History {
 	defer ts.mu.Unlock()
 	return History{jsonFloat(ts.window.Seconds()), ts.capacity, ts.collections, series}
 }
-
-// StartCollecting runs Collect every interval (<=0 means the store's
-// nominal window) on a background goroutine until the returned stop
-// function is called. One collector per store: calling it again while one
-// runs returns a stop for the new collector and leaves the old one —
-// owners are expected to hold the single stop handle.
-func (ts *TimeSeries) StartCollecting(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = ts.window
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				ts.Collect()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}

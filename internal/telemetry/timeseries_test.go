@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -324,18 +325,32 @@ func TestTimeSeriesCollectAllocs(t *testing.T) {
 	}
 }
 
-func TestStartCollecting(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("c_total", "c")
-	ts := NewTimeSeries(reg, 8, time.Millisecond)
-	stop := ts.StartCollecting(time.Millisecond)
+// TestEvery checks the one background loop: it ticks, its stop is
+// idempotent, and no tick runs once stop has returned — a tick in flight
+// when stop is called finishes before stop returns.
+func TestEvery(t *testing.T) {
+	var ticks atomic.Int64
+	var stopped atomic.Bool
+	stop := Every(time.Millisecond, func() {
+		time.Sleep(2 * time.Millisecond)
+		if stopped.Load() {
+			t.Error("tick ran after stop returned")
+		}
+		ticks.Add(1)
+	})
 	deadline := time.Now().Add(5 * time.Second)
-	for ts.Collections() == 0 {
+	for ticks.Load() < 3 {
 		if time.Now().After(deadline) {
-			t.Fatal("collector never ran")
+			t.Fatal("loop never ticked")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	stop()
+	stopped.Store(true)
+	n := ticks.Load()
 	stop() // idempotent
+	time.Sleep(10 * time.Millisecond)
+	if late := ticks.Load() - n; late != 0 {
+		t.Fatalf("%d tick(s) after stop returned", late)
+	}
 }

@@ -142,9 +142,6 @@ type Options struct {
 	// Seed determinises manufacturing and noise; ChipID selects the die.
 	Seed   uint64
 	ChipID int
-	// ClockMargin sets the CPU frequency to this fraction of the PUF
-	// datapath's reliability limit (default 0.98, per Section 4.2).
-	ClockMargin float64
 	// UseCRPDatabase bounds the verifier by a pre-enrolled CRP database
 	// with the given capacity: every session claims one enrolled seed as
 	// its challenge perturbation, and a session past the last seed fails
@@ -174,9 +171,6 @@ func NewSystem(opt Options) (*System, error) {
 	if opt.Attest == (AttestParams{}) {
 		opt.Attest = DefaultAttestParams()
 	}
-	if opt.ClockMargin == 0 {
-		opt.ClockMargin = 0.98
-	}
 	design, err := core.NewDesign(opt.PUF)
 	if err != nil {
 		return nil, err
@@ -185,17 +179,11 @@ func NewSystem(opt Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	port, err := mcu.NewDevicePort(dev)
-	if err != nil {
-		return nil, err
-	}
 	image, err := swatt.BuildImage(opt.Attest, opt.Payload)
 	if err != nil {
 		return nil, err
 	}
-	prover := attest.NewProver(image.Clone(), port, 1)
-	prover.TuneClock(opt.ClockMargin)
-	verifier, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	prover, verifier, err := attest.NewPair(dev, image)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +203,7 @@ func NewSystem(opt Options) (*System, error) {
 	return &System{
 		Design:   design,
 		Device:   dev,
-		Port:     port,
+		Port:     prover.Port,
 		Image:    image,
 		Prover:   prover,
 		Verifier: verifier,
