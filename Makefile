@@ -2,7 +2,9 @@
 # tier-1 build+tests, vet, the nested bench module's vet+tests, a one-pass
 # smoke run of the root paper-figure and ablation benches and of the sim
 # layer benches, a smoke run of the examples and of the pufatt-attest CLI,
-# and the race-detected suites.
+# a traced one-second run of the benchmark's cluster workload (it must
+# report correct and a nonzero cluster.claim.share, so the seed claims
+# still go through the traced budget), and the race-detected suites.
 #
 # The repository's benchmark is `bash bench/run.sh` (declared in
 # BENCHMARK.json, documented in bench/README.md): four workloads measured

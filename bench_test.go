@@ -829,12 +829,12 @@ func BenchmarkCRPStoreClaim(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.NextUnused(); err != nil {
+		if _, _, err := st.NextUnusedWithEpoch(); err != nil {
 			b.StopTimer()
 			st.Close()
 			st = benchStorePool(b, pool)
 			b.StartTimer()
-			if _, err := st.NextUnused(); err != nil {
+			if _, _, err := st.NextUnusedWithEpoch(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -846,7 +846,7 @@ func BenchmarkCRPStoreClaim(b *testing.B) {
 func BenchmarkCRPStoreOpen(b *testing.B) {
 	st := benchStorePool(b, 4096)
 	for i := 0; i < 512; i++ {
-		if _, err := st.NextUnused(); err != nil {
+		if _, _, err := st.NextUnusedWithEpoch(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -876,7 +876,7 @@ func BenchmarkCRPStoreCompact(b *testing.B) {
 			st.Close()
 			st = benchStorePool(b, 4096)
 		}
-		if _, err := st.NextUnused(); err != nil {
+		if _, _, err := st.NextUnusedWithEpoch(); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

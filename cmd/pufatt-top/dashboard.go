@@ -1,8 +1,9 @@
 package main
 
 // Snapshot fetching and rendering for the live fleet dashboard. Everything
-// here is plain stdlib: the admin surface speaks JSON, the terminal speaks
-// ANSI, and the only state is the snapshot fetched each refresh.
+// here is plain stdlib except telemetry.ParseStatus, the status order the
+// federator ranks by too: the admin surface speaks JSON, the terminal
+// speaks ANSI, and the only state is the snapshot fetched each refresh.
 
 import (
 	"encoding/json"
@@ -12,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"pufatt/internal/telemetry"
 )
 
 // healthSummary mirrors the /healthz body. A federated endpoint nests one
@@ -216,20 +219,6 @@ func sparkline(values []float64, width int) string {
 	return b.String()
 }
 
-// statusSeverity ranks device/fleet statuses worst-first for sorting and
-// colouring. Unknown strings land with degraded: visible but not alarming.
-func statusSeverity(status string) int {
-	switch status {
-	case "suspect":
-		return 3
-	case "awaiting-reenroll":
-		return 2
-	case "ok":
-		return 0
-	}
-	return 1
-}
-
 // worstDevices returns up to k devices sorted worst-first: status
 // severity, then failure rate, then p95 round-trip (the PUFatt timing
 // signal), with the device id as the final tiebreak for stable frames.
@@ -237,7 +226,7 @@ func worstDevices(devices []deviceHealth, k int) []deviceHealth {
 	out := make([]deviceHealth, len(devices))
 	copy(out, devices)
 	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := statusSeverity(out[i].Status), statusSeverity(out[j].Status)
+		si, sj := telemetry.ParseStatus(out[i].Status), telemetry.ParseStatus(out[j].Status)
 		if si != sj {
 			return si > sj
 		}
@@ -310,10 +299,10 @@ func (o renderOptions) paint(code, s string) string {
 }
 
 func (o renderOptions) statusPaint(status string) string {
-	switch statusSeverity(status) {
-	case 3:
+	switch telemetry.ParseStatus(status) {
+	case telemetry.StatusSuspect:
 		return o.paint(ansiRed, status)
-	case 0:
+	case telemetry.StatusOK:
 		return o.paint(ansiGreen, status)
 	}
 	return o.paint(ansiYellow, status)

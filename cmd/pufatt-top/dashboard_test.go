@@ -63,13 +63,13 @@ func TestWorstDevicesOrdering(t *testing.T) {
 }
 
 func TestStatusSeverity(t *testing.T) {
-	if statusSeverity("suspect") <= statusSeverity("degraded") {
+	if telemetry.ParseStatus("suspect") <= telemetry.ParseStatus("degraded") {
 		t.Error("suspect must outrank degraded")
 	}
-	if statusSeverity("never-heard-of-it") != statusSeverity("degraded") {
+	if telemetry.ParseStatus("never-heard-of-it") != telemetry.ParseStatus("degraded") {
 		t.Error("unknown statuses should rank with degraded")
 	}
-	if statusSeverity("ok") != 0 {
+	if telemetry.ParseStatus("ok") != 0 {
 		t.Error("ok must be the lowest severity")
 	}
 }

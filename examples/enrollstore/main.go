@@ -61,7 +61,7 @@ func main() {
 	}
 	var spent []uint64
 	for i := 0; i < 5; i++ {
-		seed, err := h.NextUnused()
+		seed, _, err := h.NextUnusedWithEpoch()
 		if err != nil {
 			log.Fatal(err)
 		}

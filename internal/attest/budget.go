@@ -14,24 +14,15 @@ import (
 // store.Store and store.Registry handles for budgets that survive
 // restarts.
 type SeedBudget interface {
-	// NextUnused claims and returns the next unused enrolled seed. Once
-	// the budget is exhausted it returns crp.ErrExhausted, which the
-	// session machinery treats as terminal (never a transport fault, never
-	// retried).
-	NextUnused() (uint64, error)
+	// NextUnusedWithEpoch claims the next unused enrolled seed and reports
+	// the epoch it belongs to in one atomic step, so a concurrent epoch
+	// cutover can never hand the verifier a seed from one epoch labelled
+	// with another. Once the budget is exhausted it returns
+	// crp.ErrExhausted, which the session machinery treats as terminal
+	// (never a transport fault, never retried).
+	NextUnusedWithEpoch() (uint64, uint32, error)
 	// Remaining reports how many authentications the budget still covers.
 	Remaining() int
-}
-
-// EpochBudget is the optional epoch-aware extension of SeedBudget:
-// budgets backed by epoch-stamped enrollments (crp.Database, the durable
-// store and its registry handles) claim the seed and report its epoch in
-// one atomic step, so a concurrent epoch cutover can never hand the
-// verifier a seed from one epoch labelled with another.
-type EpochBudget interface {
-	SeedBudget
-	NextUnusedWithEpoch() (uint64, uint32, error)
-	Epoch() uint32
 }
 
 // ExhaustedError is the typed lifecycle error for an empty (or retired)
@@ -74,25 +65,15 @@ func (v *Verifier) WithSeedBudget(b SeedBudget) *Verifier {
 
 // claimSeed draws the session's x0 from the budget when one is configured.
 // The enrolled seed space is 64-bit; the challenge carries its low 32 bits
-// (the x0 width), which both sides mix identically. Epoch-aware budgets
-// stamp the challenge with the claimed seed's epoch in the same step;
-// budgets without epochs (and budgetless emulation verifiers) fall back to
-// the verifier's static PUFEpoch.
+// (the x0 width), which both sides mix identically. The budget stamps the
+// challenge with the claimed seed's epoch in the same step; budgetless
+// emulation verifiers use the verifier's static PUFEpoch.
 func (v *Verifier) claimSeed(ch *Challenge) error {
 	ch.Epoch = v.PUFEpoch
 	if v.Seeds == nil {
 		return nil
 	}
-	var (
-		seed  uint64
-		epoch = v.PUFEpoch
-		err   error
-	)
-	if eb, ok := v.Seeds.(EpochBudget); ok {
-		seed, epoch, err = eb.NextUnusedWithEpoch()
-	} else {
-		seed, err = v.Seeds.NextUnused()
-	}
+	seed, epoch, err := v.Seeds.NextUnusedWithEpoch()
 	if err != nil {
 		if errors.Is(err, crp.ErrExhausted) {
 			return &ExhaustedError{Device: v.Device, Epoch: epoch, Err: err}

@@ -90,10 +90,10 @@ func TestGroupExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.NextUnused(); err != nil {
+	if _, _, err := g.NextUnusedWithEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = g.NextUnused()
+	_, _, err = g.NextUnusedWithEpoch()
 	if !errors.Is(err, crp.ErrExhausted) {
 		t.Fatalf("exhausted budget: %v, want crp.ErrExhausted", err)
 	}
@@ -122,7 +122,7 @@ func TestPromotionRefusesStaleReplica(t *testing.T) {
 	}
 	before := promotions()
 
-	if _, err := g.NextUnused(); err != nil {
+	if _, _, err := g.NextUnusedWithEpoch(); err != nil {
 		t.Fatal(err)
 	}
 	// followB dies and misses two acknowledged claims.
@@ -130,7 +130,7 @@ func TestPromotionRefusesStaleReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := g.NextUnused(); err != nil {
+		if _, _, err := g.NextUnusedWithEpoch(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,14 +155,14 @@ func TestPromotionRefusesStaleReplica(t *testing.T) {
 		t.Fatal("ErrStaleReplica must not be classified as transport")
 	}
 	// Without auto-failover a dead leader is an operator problem.
-	if _, err := g.NextUnused(); !errors.Is(err, ErrNoLeader) {
+	if _, _, err := g.NextUnusedWithEpoch(); !errors.Is(err, ErrNoLeader) {
 		t.Fatalf("claims with dead leader: %v, want ErrNoLeader", err)
 	}
 	// The caught-up follower may serve, and continues the seed order.
 	if err := g.Promote(followA); err != nil {
 		t.Fatal(err)
 	}
-	seed, err := g.NextUnused()
+	seed, _, err := g.NextUnusedWithEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestAutoFailoverPicksCaughtUpReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := g.NextUnused(); err != nil {
+		if _, _, err := g.NextUnusedWithEpoch(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func TestAutoFailoverPicksCaughtUpReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Auto-failover must pick the caught-up follower, never the stale one.
-	seed, err := g.NextUnused()
+	seed, _, err := g.NextUnusedWithEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestAutoFailoverPicksCaughtUpReplica(t *testing.T) {
 	if err := c.Kill(followB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.NextUnused(); !errors.Is(err, ErrNoLeader) {
+	if _, _, err := g.NextUnusedWithEpoch(); !errors.Is(err, ErrNoLeader) {
 		t.Fatalf("all-dead claim: %v, want ErrNoLeader", err)
 	}
 }
@@ -255,7 +255,7 @@ func TestGroupCommitEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.NextUnused(); err != nil {
+	if _, _, err := g.NextUnusedWithEpoch(); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.CommitEpoch(fakeEnrollment(9, 2, 100)); err == nil {
@@ -300,7 +300,7 @@ func TestReferenceResponseRequiresClaim(t *testing.T) {
 	if _, err := g.ReferenceResponse(999, 0); !errors.Is(err, crp.ErrUnknownSeed) {
 		t.Fatalf("unknown seed: %v, want crp.ErrUnknownSeed", err)
 	}
-	if _, err := g.NextUnused(); err != nil {
+	if _, _, err := g.NextUnusedWithEpoch(); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := g.ReferenceResponse(77, 1)

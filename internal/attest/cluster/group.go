@@ -26,7 +26,7 @@ var (
 
 // Group is one device's replication group: the ordered replica set the
 // ring assigned it, one claim log per replica, and the leader that owns
-// claims. It implements the attestation layer's EpochBudget, so a Verifier
+// claims. It implements the attestation layer's SeedBudget, so a Verifier
 // whose seed budget is a Group transparently claims every session's x0
 // through the replicated log. (It also implements core.ReferenceSource
 // over the enrollment's measured references, for direct CRP verification
@@ -204,12 +204,6 @@ func (g *Group) claimLocked(lead string, seed uint64) error {
 	return g.replicateLocked(lead, crp.ClaimFrame(seed))
 }
 
-// NextUnused implements attest.SeedBudget.
-func (g *Group) NextUnused() (uint64, error) {
-	seed, _, err := g.NextUnusedWithEpoch()
-	return seed, err
-}
-
 // replicateLocked runs one frame through the full log-before-acknowledge
 // cycle: leader append, synchronous streaming to live followers with
 // acknowledged marks, high-water-mark advance. Dead followers are skipped
@@ -333,7 +327,7 @@ func (g *Group) leaderLedgerLocked() (*crp.Ledger, error) {
 	return g.logs[lead].ledger, nil
 }
 
-// Epoch implements attest.EpochBudget.
+// Epoch returns the current leader's epoch.
 func (g *Group) Epoch() uint32 {
 	g.mu.Lock()
 	defer g.mu.Unlock()

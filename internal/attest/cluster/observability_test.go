@@ -269,7 +269,7 @@ func TestQueueWaitAlertProfileAndProbeEndToEnd(t *testing.T) {
 	if err := c.Kill(stale); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lagging.NextUnused(); err != nil {
+	if _, _, err := lagging.NextUnusedWithEpoch(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Revive(stale); err != nil {

@@ -85,15 +85,16 @@ func (db *Database) CommitEpoch(enr *Enrollment) error {
 func (db *Database) NextUnusedWithEpoch() (uint64, uint32, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	seed, err := db.led.NextUnused()
-	return seed, db.led.Epoch(), CountClaim(err)
+	seed, epoch, err := db.led.NextUnusedWithEpoch()
+	return seed, epoch, CountClaim(err)
 }
 
 // ResponseBits implements core.ReferenceSource.
 func (db *Database) ResponseBits() int { return db.enrollment().ResponseBits() }
 
 // ReferenceResponse implements core.ReferenceSource with a caller-owned
-// copy. The seed must have been claimed (Claim or NextUnused) first.
+// copy. The seed must have been claimed (Claim or NextUnusedWithEpoch)
+// first.
 func (db *Database) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -106,12 +107,6 @@ func (db *Database) Claim(seed uint64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return CountClaim(db.led.Apply(Frame{Seed: seed}))
-}
-
-// NextUnused claims and returns the next unused seed in enrollment order.
-func (db *Database) NextUnused() (uint64, error) {
-	seed, _, err := db.NextUnusedWithEpoch()
-	return seed, err
 }
 
 // Remaining returns how many authentications the database still supports,

@@ -34,7 +34,7 @@ func TestEnrollAndVerifyFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := db.NextUnused()
+	seed, _, err := db.NextUnusedWithEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestExhaustion(t *testing.T) {
 	dev := testDevice(t)
 	db, _ := Enroll(dev, []uint64{1, 2})
 	for i := 0; i < 2; i++ {
-		if _, err := db.NextUnused(); err != nil {
+		if _, _, err := db.NextUnusedWithEpoch(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.NextUnused(); !errors.Is(err, ErrExhausted) {
+	if _, _, err := db.NextUnusedWithEpoch(); !errors.Is(err, ErrExhausted) {
 		t.Errorf("exhausted NextUnused: %v", err)
 	}
 	if db.Remaining() != 0 {
@@ -169,7 +169,7 @@ func TestConcurrentClaims(t *testing.T) {
 						t.Errorf("Claim(%d): %v", seed, err)
 					}
 				case 1:
-					if s, err := db.NextUnused(); err == nil {
+					if s, _, err := db.NextUnusedWithEpoch(); err == nil {
 						ok.Add(1)
 						if _, err := db.ReferenceResponse(s, w%8); err != nil {
 							t.Errorf("ReferenceResponse(%d): %v", s, err)
@@ -193,7 +193,7 @@ func TestConcurrentClaims(t *testing.T) {
 	if db.Remaining() != 0 {
 		t.Errorf("Remaining = %d after exhausting claims", db.Remaining())
 	}
-	if _, err := db.NextUnused(); !errors.Is(err, ErrExhausted) {
+	if _, _, err := db.NextUnusedWithEpoch(); !errors.Is(err, ErrExhausted) {
 		t.Errorf("NextUnused after exhaustion: %v", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestNextUnusedCountsNoSpuriousReplays(t *testing.T) {
 		}
 	}
 	before := claims.With("replay").Value()
-	seed, err := db.NextUnused() // skips 1,2,3; claims 4
+	seed, _, err := db.NextUnusedWithEpoch() // skips 1,2,3; claims 4
 	if err != nil || seed != 4 {
 		t.Fatalf("NextUnused = %d, %v; want 4", seed, err)
 	}
@@ -263,14 +263,14 @@ func TestRemainingMatchesScan(t *testing.T) {
 	check("fresh")
 	db.Claim(7)
 	check("after direct claim")
-	db.NextUnused() // claims 1
-	db.NextUnused() // claims 2
+	db.NextUnusedWithEpoch() // claims 1
+	db.NextUnusedWithEpoch() // claims 2
 	check("after cursor claims")
 	db.Claim(7) // replay: must not change the count
 	db.Claim(99)
 	check("after failed claims")
 	for range seeds {
-		db.NextUnused()
+		db.NextUnusedWithEpoch()
 	}
 	check("exhausted")
 	if db.Remaining() != 0 {

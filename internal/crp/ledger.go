@@ -29,7 +29,7 @@ var (
 
 // Ledger is the claim state machine: the only code that knows which
 // enrolled seeds are spent. It holds one epoch's enrollment, the used set
-// of that epoch, the NextUnused cursor, the unused count and the epoch,
+// of that epoch, the Next cursor, the unused count and the epoch,
 // and it changes only by applying a Frame:
 //
 //   - a claim succeeds once per (seed, epoch) and otherwise fails with
@@ -48,7 +48,7 @@ type Ledger struct {
 	enr    *Enrollment // the live epoch's enrollment; nil while retired
 	epoch  uint32
 	used   []bool // per enrollment position
-	cursor int    // NextUnused scan position; only advances within an epoch
+	cursor int    // Next scan position; only advances within an epoch
 	unused int
 }
 
@@ -136,13 +136,14 @@ func (l *Ledger) Next() (uint64, error) {
 	return 0, ErrExhausted
 }
 
-// NextUnused claims and returns the next unused seed (attest.SeedBudget).
-func (l *Ledger) NextUnused() (uint64, error) {
+// NextUnusedWithEpoch claims the next unused seed and reports the
+// ledger's epoch (attest.SeedBudget).
+func (l *Ledger) NextUnusedWithEpoch() (uint64, uint32, error) {
 	seed, err := l.Next()
 	if err != nil {
-		return 0, err
+		return 0, l.epoch, err
 	}
-	return seed, l.Apply(Frame{Seed: seed})
+	return seed, l.epoch, l.Apply(Frame{Seed: seed})
 }
 
 // Remaining returns the live epoch's unclaimed seed count, in O(1)

@@ -79,7 +79,7 @@ func TestRegistryEvictionNeverResurrectsSeeds(t *testing.T) {
 				h := handles[id]
 				other := handles[ids[(indexOf(ids, id)+1)%len(ids)]]
 				for {
-					seed, err := h.NextUnused()
+					seed, _, err := h.NextUnusedWithEpoch()
 					if errors.Is(err, crp.ErrExhausted) {
 						return
 					}

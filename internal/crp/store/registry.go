@@ -223,12 +223,6 @@ func (h *Handle) Claim(seed uint64) error {
 	return h.withStore(func(st *Store) error { return st.Claim(seed) })
 }
 
-// NextUnused durably claims the next unused seed on the device's store.
-func (h *Handle) NextUnused() (uint64, error) {
-	seed, _, err := h.NextUnusedWithEpoch()
-	return seed, err
-}
-
 // NextUnusedWithEpoch durably claims the next unused seed and reports its
 // epoch, atomically with respect to a concurrent cutover.
 func (h *Handle) NextUnusedWithEpoch() (uint64, uint32, error) {

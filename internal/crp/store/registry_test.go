@@ -79,7 +79,7 @@ func TestRegistrySurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := h.NextUnused()
+	seed, _, err := h.NextUnusedWithEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRegistryLRUEvictionTransparent(t *testing.T) {
 		handles[i] = h
 	}
 	for _, h := range handles {
-		seed, err := h.NextUnused()
+		seed, _, err := h.NextUnusedWithEpoch()
 		if err != nil {
 			t.Fatalf("device %d through eviction churn: %v", h.ChipID(), err)
 		}
@@ -192,7 +192,7 @@ func TestRegistryHandleIsReferenceSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := h.NextUnused()
+	seed, _, err := h.NextUnusedWithEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 					t.Errorf("worker %d handle %d: %v", w, id, err)
 					return
 				}
-				switch _, err := h.NextUnused(); {
+				switch _, _, err := h.NextUnusedWithEpoch(); {
 				case err == nil:
 					claimed.Add(1)
 				case !errors.Is(err, crp.ErrExhausted):
@@ -263,7 +263,7 @@ func TestRegistryCompactAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.NextUnused(); err != nil {
+		if _, _, err := h.NextUnusedWithEpoch(); err != nil {
 			t.Fatal(err)
 		}
 	}

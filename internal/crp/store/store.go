@@ -88,8 +88,8 @@ func DefaultOptions() Options {
 // Store is the durable CRP database of one device: a crp.Ledger whose
 // frames are logged before they apply. It implements core.ReferenceSource
 // (reference lookups for the verifier pipeline) and the claim surface of
-// crp.Database (Claim, NextUnused, Remaining). All methods are safe for
-// concurrent use.
+// crp.Database (Claim, NextUnusedWithEpoch, Remaining). All methods are
+// safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
@@ -348,17 +348,11 @@ func (st *Store) claimLocked(seed uint64) error {
 	return nil
 }
 
-// NextUnused durably claims and returns the next unused seed in enrollment
-// order.
-func (st *Store) NextUnused() (uint64, error) {
-	seed, _, err := st.NextUnusedWithEpoch()
-	return seed, err
-}
-
-// NextUnusedWithEpoch is NextUnused returning the claimed seed's epoch
-// under the same lock acquisition — the atomic (seed, epoch) pair an
-// epoch-negotiating verifier binds into one challenge, so a concurrent
-// cutover can never split a session across epochs.
+// NextUnusedWithEpoch durably claims the next unused seed in enrollment
+// order and returns its epoch under the same lock acquisition — the atomic
+// (seed, epoch) pair an epoch-negotiating verifier binds into one
+// challenge, so a concurrent cutover can never split a session across
+// epochs.
 func (st *Store) NextUnusedWithEpoch() (uint64, uint32, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

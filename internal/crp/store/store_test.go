@@ -166,7 +166,7 @@ func TestClaimSurvivesReopen(t *testing.T) {
 	if err := st.Claim(2); err != nil {
 		t.Fatal(err)
 	}
-	seed, err := st.NextUnused()
+	seed, _, err := st.NextUnusedWithEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestClaimSurvivesReopen(t *testing.T) {
 	if got := re.Remaining(); got != 3 {
 		t.Fatalf("Remaining after reopen = %d, want 3", got)
 	}
-	if seed, err := re.NextUnused(); err != nil || seed != 3 {
+	if seed, _, err := re.NextUnusedWithEpoch(); err != nil || seed != 3 {
 		t.Fatalf("NextUnused after reopen = %d, %v; want 3", seed, err)
 	}
 }
@@ -242,7 +242,7 @@ func TestAutoCompaction(t *testing.T) {
 	}
 	defer st.Close()
 	for i := 0; i < 4; i++ {
-		if _, err := st.NextUnused(); err != nil {
+		if _, _, err := st.NextUnusedWithEpoch(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,7 +397,7 @@ func TestRecoveryPropertyRandomClaims(t *testing.T) {
 					mirror[seed] = true
 				}
 			case 4, 5, 6: // sequential claim
-				seed, err := st.NextUnused()
+				seed, _, err := st.NextUnusedWithEpoch()
 				if len(mirror) == n {
 					if !errors.Is(err, crp.ErrExhausted) {
 						t.Fatalf("trial %d op %d: want exhausted, got %v", trial, op, err)
@@ -455,7 +455,7 @@ func TestStoreConcurrentClaims(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				if w%2 == 0 {
-					switch _, err := st.NextUnused(); {
+					switch _, _, err := st.NextUnusedWithEpoch(); {
 					case err == nil:
 						ok.Add(1)
 					case !errors.Is(err, crp.ErrExhausted):
@@ -508,7 +508,7 @@ func TestVerifierPipelineFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := st.NextUnused()
+	seed, _, err := st.NextUnusedWithEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}

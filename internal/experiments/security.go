@@ -91,8 +91,7 @@ func RunSecuritySuite(cfg SecurityConfig) (*SecurityResult, error) {
 		return nil, err
 	}
 	link := attest.Link{LatencySeconds: 5e-7, BitsPerSecond: 1e9}
-	respBits := (8+32)*8 + 8*cfg.Attest.Chunks*attest.HelperBitsPerWord + 32
-	linkCost := link.TransferSeconds(attest.ChallengeBits) + link.TransferSeconds(respBits)
+	linkCost := link.TransferSeconds(attest.ChallengeBits) + link.TransferSeconds(verifier.ExpectedResponseBits())
 	verifier.ComputeSlack = 0.25 * float64(extra) / float64(honest)
 	verifier.NetworkAllowance = linkCost + 0.25*float64(extra)/prover.FreqHz
 

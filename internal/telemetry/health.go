@@ -64,6 +64,18 @@ func (s DeviceStatus) String() string {
 	return fmt.Sprintf("status(%d)", int(s))
 }
 
+// ParseStatus maps a status name (DeviceStatus.String) back to its
+// severity, for consumers that read statuses from JSON. An unknown name
+// ranks as degraded: trouble, never clean.
+func ParseStatus(name string) DeviceStatus {
+	for s := StatusOK; s <= StatusSuspect; s++ {
+		if s.String() == name {
+			return s
+		}
+	}
+	return StatusDegraded
+}
+
 // SLO holds the health thresholds. A zero threshold disables that check,
 // so the zero SLO judges nothing; MinSessions is the anti-flap gate — no
 // device is judged before it has that many windowed records, which is what
@@ -210,9 +222,7 @@ const maxTransitions = 16
 // deviceState is the registry's mutable per-device record.
 type deviceState struct {
 	rtt    *Histogram // the existing histogram type: lock-free quantiles
-	window []windowRecord
-	next   int
-	filled bool
+	window ring[windowRecord]
 
 	sessions, accepted, rejected, transport uint64
 	fnrEst                                  float64
@@ -225,7 +235,7 @@ type deviceState struct {
 	quarantineCount                         uint64
 
 	status      DeviceStatus
-	transitions []Transition
+	transitions ring[Transition]
 	lastSeen    time.Time
 }
 
@@ -293,30 +303,13 @@ func (h *HealthRegistry) device(id string) *deviceState {
 		}
 		d = &deviceState{
 			rtt:            newHistogram(nil),
-			window:         make([]windowRecord, w),
+			window:         newRing[windowRecord](w),
+			transitions:    newRing[Transition](maxTransitions),
 			seedsRemaining: -1,
 		}
 		h.devices[id] = d
 	}
 	return d
-}
-
-// push appends one record to the device's rolling window.
-func (d *deviceState) push(r windowRecord) {
-	d.window[d.next] = r
-	d.next++
-	if d.next == len(d.window) {
-		d.next = 0
-		d.filled = true
-	}
-}
-
-// windowLen reports how many records the window holds.
-func (d *deviceState) windowLen() int {
-	if d.filled {
-		return len(d.window)
-	}
-	return d.next
 }
 
 // Observe folds one session observation into the device's aggregates and
@@ -342,7 +335,7 @@ func (h *HealthRegistry) Observe(device string, obs SessionObservation) {
 	case OutcomeTransport:
 		d.transport++
 	}
-	d.push(rec)
+	d.window.push(rec)
 	if obs.Outcome != OutcomeTransport {
 		// Response-quality drift: EWMA of FNR-shaped rejections over
 		// completed sessions, α = 2/(window+1).
@@ -350,7 +343,7 @@ func (h *HealthRegistry) Observe(device string, obs SessionObservation) {
 		if rec.fnrHit {
 			sample = 1.0
 		}
-		alpha := 2.0 / float64(len(d.window)+1)
+		alpha := 2.0 / float64(d.window.capacity()+1)
 		if !d.fnrSeeded {
 			d.fnrEst, d.fnrSeeded = sample, true
 		} else {
@@ -456,10 +449,7 @@ func (h *HealthRegistry) rederive(device string, d *deviceState) {
 			tr.Reason = "within SLO"
 		}
 		d.status = status
-		d.transitions = append(d.transitions, tr)
-		if len(d.transitions) > maxTransitions {
-			d.transitions = d.transitions[len(d.transitions)-maxTransitions:]
-		}
+		d.transitions.push(tr)
 		fire = h.onTransition
 	}
 	h.mu.Unlock()
@@ -470,29 +460,23 @@ func (h *HealthRegistry) rederive(device string, d *deviceState) {
 
 // windowRates computes the rolling-window aggregates.
 func (d *deviceState) windowRates() (records, completed int, failRate, transportRate, retryRate float64) {
-	records = d.windowLen()
+	records = d.window.len()
 	if records == 0 {
 		return 0, 0, 0, 0, 0
 	}
 	var rejected, transport, retries int
-	scan := func(recs []windowRecord) {
-		for _, r := range recs {
-			switch r.outcome {
-			case OutcomeRejected:
-				rejected++
-				completed++
-			case OutcomeAccepted:
-				completed++
-			case OutcomeTransport:
-				transport++
-			}
-			retries += int(r.retries)
+	d.window.each(func(r windowRecord) {
+		switch r.outcome {
+		case OutcomeRejected:
+			rejected++
+			completed++
+		case OutcomeAccepted:
+			completed++
+		case OutcomeTransport:
+			transport++
 		}
-	}
-	if d.filled {
-		scan(d.window[d.next:])
-	}
-	scan(d.window[:d.next])
+		retries += int(r.retries)
+	})
 	if completed > 0 {
 		failRate = float64(rejected) / float64(completed)
 	}
@@ -572,7 +556,7 @@ func snapshotDevice(id string, d *deviceState, slo SLO) DeviceHealth {
 		BudgetExhausted: d.budgetExhausted,
 		Quarantined:     d.quarantined,
 		QuarantineCount: d.quarantineCount,
-		Transitions:     append([]Transition(nil), d.transitions...),
+		Transitions:     d.transitions.appendTo(nil),
 		LastSeen:        d.lastSeen,
 	}
 }

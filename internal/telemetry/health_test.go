@@ -401,3 +401,51 @@ func TestHealthSnapshotConsistencyUnderTransitions(t *testing.T) {
 		}
 	}
 }
+
+// TestHealthWindowAndTransitionsAreBounded pins both per-device bounds:
+// after 2×Window records the rates see only the newest Window of them,
+// and after more than maxTransitions status flips only the newest
+// maxTransitions transitions remain, still in Seq order.
+func TestHealthWindowAndTransitionsAreBounded(t *testing.T) {
+	slo := SLO{Window: 8}
+	h := NewHealthRegistry(slo)
+	for i := 0; i < slo.Window; i++ { // the old window: all transport failures
+		h.Observe("windowed", SessionObservation{Outcome: OutcomeTransport, Retries: 5})
+	}
+	for i := 0; i < slo.Window; i++ { // the new one: 1 rejection in 4
+		obs := SessionObservation{Outcome: OutcomeAccepted, RTT: 0.01, Retries: 1}
+		if i%4 == 0 {
+			obs.Outcome = OutcomeRejected
+		}
+		h.Observe("windowed", obs)
+	}
+	d, _ := h.Get("windowed")
+	if d.WindowRecords != slo.Window {
+		t.Fatalf("window records = %d, want %d", d.WindowRecords, slo.Window)
+	}
+	if d.FailureRate != 0.25 || d.TransportRate != 0 || d.RetryRate != 1 {
+		t.Fatalf("rates fail %.3f transport %.3f retry %.3f, want 0.25 0 1 (newest window only)",
+			d.FailureRate, d.TransportRate, d.RetryRate)
+	}
+	if d.Transport != uint64(slo.Window) {
+		t.Fatalf("lifetime transport = %d, want %d (lifetime counters are not windowed)", d.Transport, slo.Window)
+	}
+
+	flips := 2*maxTransitions + 3
+	for i := 0; i < flips; i++ { // ok → degraded → ok …, one transition each
+		h.ObserveQuarantine("flapping", i%2 == 0)
+	}
+	d, _ = h.Get("flapping")
+	if len(d.Transitions) != maxTransitions {
+		t.Fatalf("kept %d transitions, want %d", len(d.Transitions), maxTransitions)
+	}
+	first := d.Transitions[0].Seq
+	if want := uint64(flips - maxTransitions + 1); first != want {
+		t.Fatalf("oldest kept transition Seq %d, want %d (the oldest must be gone)", first, want)
+	}
+	for i, tr := range d.Transitions {
+		if tr.Seq != first+uint64(i) {
+			t.Fatalf("transition %d Seq %d, want %d (ascending)", i, tr.Seq, first+uint64(i))
+		}
+	}
+}

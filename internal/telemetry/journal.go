@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -93,15 +92,12 @@ const DefaultJournalCapacity = 1024
 
 // Journal is the bounded event ring. Safe for concurrent use.
 type Journal struct {
-	mu     sync.Mutex
-	clock  func() time.Time
-	ring   []Event
-	next   int
-	filled bool
-	seq    uint64
+	mu    sync.Mutex
+	clock func() time.Time
+	ring  ring[Event]
+	seq   uint64
 
-	dropped     atomic.Uint64
-	dropCounter atomic.Pointer[Counter]
+	evictions // events overwritten by the ring
 }
 
 // NewJournal returns a journal retaining the last capacity events
@@ -110,7 +106,7 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCapacity
 	}
-	return &Journal{clock: time.Now, ring: make([]Event, capacity)}
+	return &Journal{clock: time.Now, ring: newRing[Event](capacity)}
 }
 
 // SetClock injects the journal's clock (nil restores time.Now), so event
@@ -124,14 +120,6 @@ func (j *Journal) SetClock(now func() time.Time) {
 	j.clock = now
 }
 
-// SetDropCounter mirrors ring overwrites into a registry counter (nil
-// detaches); like the tracer, the journal cannot self-register.
-func (j *Journal) SetDropCounter(c *Counter) { j.dropCounter.Store(c) }
-
-// Dropped reports how many events the ring has overwritten — the
-// journal's silent-truncation tally.
-func (j *Journal) Dropped() uint64 { return j.dropped.Load() }
-
 // Append stamps the event with the next sequence number and the journal
 // clock and stores it, overwriting (and counting) the oldest event when
 // the ring is full. It returns the stamped sequence number.
@@ -140,19 +128,10 @@ func (j *Journal) Append(e Event) uint64 {
 	j.seq++
 	e.Seq = j.seq
 	e.Time = j.clock()
-	evict := j.filled
-	j.ring[j.next] = e
-	j.next++
-	if j.next == len(j.ring) {
-		j.next = 0
-		j.filled = true
-	}
+	evicted := j.ring.push(e)
 	j.mu.Unlock()
-	if evict {
-		j.dropped.Add(1)
-		if c := j.dropCounter.Load(); c != nil {
-			c.Inc()
-		}
+	if evicted {
+		j.countDrop()
 	}
 	return e.Seq
 }
@@ -161,22 +140,14 @@ func (j *Journal) Append(e Event) uint64 {
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.filled {
-		return len(j.ring)
-	}
-	return j.next
+	return j.ring.len()
 }
 
 // Recent returns the retained events, oldest first.
 func (j *Journal) Recent() []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Event, 0, len(j.ring))
-	if j.filled {
-		out = append(out, j.ring[j.next:]...)
-	}
-	out = append(out, j.ring[:j.next]...)
-	return out
+	return j.ring.appendTo(make([]Event, 0, j.ring.len()))
 }
 
 // ByTrace returns the retained events carrying the given trace ID, oldest

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,7 +86,7 @@ type Profiler struct {
 	dir    string
 	cpuDur time.Duration
 	clock  func() time.Time
-	index  []ProfileCapture // oldest first
+	index  ring[ProfileCapture]
 
 	inflight atomic.Bool
 
@@ -95,7 +96,8 @@ type Profiler struct {
 // NewProfiler builds a disabled profiler (no directory). Configure with
 // SetDir and SetCPUDuration; attach counters with SetCaptureCounters.
 func NewProfiler() *Profiler {
-	return &Profiler{cpuDur: DefaultCPUProfileDuration, clock: time.Now}
+	return &Profiler{cpuDur: DefaultCPUProfileDuration, clock: time.Now,
+		index: newRing[ProfileCapture](DefaultProfileCapacity)}
 }
 
 // SetDir sets the capture directory ("" disables capturing, the default).
@@ -191,10 +193,7 @@ func (p *Profiler) Capture(trigger string, meta CaptureMeta) (ProfileCapture, bo
 	})
 
 	p.mu.Lock()
-	p.index = append(p.index, entry)
-	if n := len(p.index) - DefaultProfileCapacity; n > 0 {
-		p.index = append(p.index[:0], p.index[n:]...)
-	}
+	p.index.push(entry)
 	p.mu.Unlock()
 
 	if cv := p.captures.Load(); cv != nil {
@@ -264,7 +263,7 @@ func sanitizeTrigger(s string) string {
 func (p *Profiler) Snapshot() []ProfileCapture {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]ProfileCapture(nil), p.index...)
+	return p.index.appendTo(nil)
 }
 
 // Start captures with trigger "periodic" every interval (non-positive
@@ -283,9 +282,10 @@ func (p *Profiler) Start(interval time.Duration) (stop func()) {
 func (p *Profiler) Recent(limit int) []ProfileCapture {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]ProfileCapture, 0, len(p.index))
-	for i := len(p.index) - 1; i >= 0 && (limit <= 0 || len(out) < limit); i-- {
-		out = append(out, p.index[i])
+	out := p.index.appendTo(make([]ProfileCapture, 0, p.index.len()))
+	slices.Reverse(out)
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
 	}
 	return out
 }

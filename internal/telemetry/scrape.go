@@ -262,21 +262,6 @@ func (f *Federator) mergeRecords(pick func(*sourceData) []map[string]any) []map[
 	return out
 }
 
-// statusRank orders health statuses worst-last for the merged verdict.
-func statusRank(status string) int {
-	switch status {
-	case StatusOK.String():
-		return 0
-	case StatusDegraded.String():
-		return 1
-	case StatusAwaitingReenroll.String():
-		return 2
-	case StatusSuspect.String():
-		return 3
-	}
-	return 1 // unknown statuses count as trouble, not as clean
-}
-
 // FederatedHealth is the merged /healthz verdict.
 type FederatedHealth struct {
 	// Status is the worst status across reachable sources, degraded at
@@ -291,34 +276,21 @@ func (f *Federator) Health() FederatedHealth {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := FederatedHealth{Sources: make(map[string]map[string]any, len(f.sources))}
-	worst := 0
+	worst := StatusOK
 	for _, src := range f.sources {
 		d := f.data[src.Name]
 		if f.staleLocked(d) {
 			out.Stale = append(out.Stale, src.Name)
-			if worst < 1 {
-				worst = 1 // a blind spot is at least degraded
-			}
+			worst = max(worst, StatusDegraded) // a blind spot is at least degraded
 		}
 		if d.healthz != nil {
 			out.Sources[src.Name] = d.healthz
 			if s, ok := d.healthz["status"].(string); ok {
-				if r := statusRank(s); r > worst {
-					worst = r
-				}
+				worst = max(worst, ParseStatus(s))
 			}
 		}
 	}
-	switch worst {
-	case 0:
-		out.Status = StatusOK.String()
-	case 1:
-		out.Status = StatusDegraded.String()
-	case 2:
-		out.Status = StatusAwaitingReenroll.String()
-	default:
-		out.Status = StatusSuspect.String()
-	}
+	out.Status = worst.String()
 	return out
 }
 

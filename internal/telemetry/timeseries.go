@@ -61,9 +61,7 @@ type seriesRing struct {
 	family string // bare family name, for prefix queries
 	kind   kind
 
-	points []Point
-	next   int
-	filled bool
+	points ring[Point]
 
 	// Scalar state for counter deltas.
 	lastCounter uint64
@@ -74,44 +72,28 @@ type seriesRing struct {
 	lastCount   uint64
 }
 
-// push appends one point, overwriting the oldest at capacity.
-func (s *seriesRing) push(p Point) {
-	s.points[s.next] = p
-	s.next++
-	if s.next == len(s.points) {
-		s.next = 0
-		s.filled = true
-	}
-}
-
 // snapshot returns the retained points, oldest first, filtered to
 // [startNs, endNs] (0 bounds disable) and downsampled to stepNs (keeping
 // the first point of each step bucket; 0 keeps all).
 func (s *seriesRing) snapshot(startNs, endNs, stepNs int64) []Point {
 	var out []Point
 	lastStep := int64(math.MinInt64)
-	emit := func(pts []Point) {
-		for _, p := range pts {
-			if startNs != 0 && p.TimeUnixNs < startNs {
-				continue
-			}
-			if endNs != 0 && p.TimeUnixNs > endNs {
-				continue
-			}
-			if stepNs > 0 {
-				bucket := p.TimeUnixNs / stepNs
-				if bucket == lastStep {
-					continue
-				}
-				lastStep = bucket
-			}
-			out = append(out, p)
+	s.points.each(func(p Point) {
+		if startNs != 0 && p.TimeUnixNs < startNs {
+			return
 		}
-	}
-	if s.filled {
-		emit(s.points[s.next:])
-	}
-	emit(s.points[:s.next])
+		if endNs != 0 && p.TimeUnixNs > endNs {
+			return
+		}
+		if stepNs > 0 {
+			bucket := p.TimeUnixNs / stepNs
+			if bucket == lastStep {
+				return
+			}
+			lastStep = bucket
+		}
+		out = append(out, p)
+	})
 	return out
 }
 
@@ -220,7 +202,7 @@ func (ts *TimeSeries) ring(f *family, s *series) *seriesRing {
 	key := f.name + labelString(f.labels, s.values, "", "")
 	r := &seriesRing{
 		key: key, family: f.name, kind: f.kind,
-		points: make([]Point, ts.capacity),
+		points: newRing[Point](ts.capacity),
 	}
 	if f.kind == kindHistogram {
 		r.lastBuckets = make([]uint64, len(s.hist.counts))
@@ -249,12 +231,12 @@ func (ts *TimeSeries) Collect() {
 			switch f.kind {
 			case kindCounter:
 				v := s.counter.Value()
-				r.push(Point{TimeUnixNs: now, Value: float64(v - r.lastCounter)})
+				r.points.push(Point{TimeUnixNs: now, Value: float64(v - r.lastCounter)})
 				r.lastCounter = v
 			case kindGauge:
-				r.push(Point{TimeUnixNs: now, Value: s.gauge.Value()})
+				r.points.push(Point{TimeUnixNs: now, Value: s.gauge.Value()})
 			case kindHistogram:
-				r.push(ts.histogramPoint(now, s.hist, r))
+				r.points.push(ts.histogramPoint(now, s.hist, r))
 			}
 		}
 	}
@@ -433,14 +415,7 @@ func (ts *TimeSeries) Latest(key string) (Point, bool) {
 	if !ok {
 		return Point{}, false
 	}
-	idx := r.next - 1
-	if idx < 0 {
-		if !r.filled {
-			return Point{}, false
-		}
-		idx = len(r.points) - 1
-	}
-	return r.points[idx], true
+	return r.points.last()
 }
 
 // MarshalJSON renders the series as one /metrics/history record:

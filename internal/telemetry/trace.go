@@ -3,7 +3,6 @@ package telemetry
 import (
 	"maps"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -145,13 +144,10 @@ func (s *Span) Duration() time.Duration {
 type Tracer struct {
 	mu      sync.Mutex
 	clock   func() time.Time
-	ring    []*Span
-	next    int
-	filled  bool
+	ring    ring[*Span]
 	idState uint64 // SplitMix64 state for trace/span ID minting
 
-	dropped     atomic.Uint64 // root spans evicted by ring overwrite
-	dropCounter atomic.Pointer[Counter]
+	evictions // root spans evicted by ring overwrite
 }
 
 // DefaultTraceCapacity is the ring size of NewTracer(0) and the package
@@ -166,7 +162,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{clock: time.Now, ring: make([]*Span, capacity), idState: randomIDSeed()}
+	return &Tracer{clock: time.Now, ring: newRing[*Span](capacity), idState: randomIDSeed()}
 }
 
 var defaultTracer = NewTracer(0)
@@ -221,33 +217,15 @@ func (t *Tracer) StartSpanInTrace(name string, tc TraceContext) *Span {
 	}
 }
 
-// SetDropCounter mirrors ring evictions into a registry counter (nil
-// detaches). The tracer cannot self-register — it may serve many
-// registries — so the owning telemetry bundle attaches the instrument.
-func (t *Tracer) SetDropCounter(c *Counter) { t.dropCounter.Store(c) }
-
-// Dropped reports how many finished root spans the ring has evicted to
-// make room — the tracer's silent-truncation tally.
-func (t *Tracer) Dropped() uint64 { return t.dropped.Load() }
-
 // record stores a finished root span in the ring, counting the span it
 // evicts (a full ring overwrites oldest-first; without the counter that
 // truncation would be invisible).
 func (t *Tracer) record(s *Span) {
 	t.mu.Lock()
-	evicted := t.ring[t.next] != nil
-	t.ring[t.next] = s
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.filled = true
-	}
+	evicted := t.ring.push(s)
 	t.mu.Unlock()
 	if evicted {
-		t.dropped.Add(1)
-		if c := t.dropCounter.Load(); c != nil {
-			c.Inc()
-		}
+		t.countDrop()
 	}
 }
 
@@ -255,18 +233,7 @@ func (t *Tracer) record(s *Span) {
 func (t *Tracer) Recent() []*Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []*Span
-	if t.filled {
-		out = append(out, t.ring[t.next:]...)
-	}
-	out = append(out, t.ring[:t.next]...)
-	res := make([]*Span, 0, len(out))
-	for _, s := range out {
-		if s != nil {
-			res = append(res, s)
-		}
-	}
-	return res
+	return t.ring.appendTo(make([]*Span, 0, t.ring.len()))
 }
 
 // ByTrace returns the retained root spans belonging to the given trace,

@@ -7,7 +7,9 @@
 # and ablation regenerators keep running) and of every sim layer bench, a
 # smoke run of every example that exits by itself, a smoke run of the
 # pufatt-attest CLI through a durable store's enrollment and one
-# re-enrollment, and one race-detected run over every package that runs
+# re-enrollment, a one-second traced run of the benchmark's cluster
+# workload (correct, with replicated seed claims timed under
+# cluster.claim), and one race-detected run over every package that runs
 # work on goroutines:
 # the attestation stack (fault injection, retry, fleet and cluster sweeps,
 # failover, admission, shutdown), telemetry, the claim ledgers, the
@@ -70,6 +72,17 @@ attest -store-dir "$tmp/store" -enroll 16
 attest -store-dir "$tmp/store" -mode local -sessions 2
 attest -store-dir "$tmp/store" -reenroll 16
 attest -store-dir "$tmp/store" -mode local -sessions 2
+
+echo "== traced cluster smoke run: correct, and seed claims traced as cluster.claim"
+# A run that fails a check still prints its result line last; the check below shows it.
+bash bench/run.sh --workload cluster --seed 1 --seconds 1 --trace 1 >"$tmp/cluster" || true
+last=$(tail -n 1 "$tmp/cluster")
+if ! echo "$last" | grep -q '"correct":true' ||
+    ! echo "$last" | grep -o '"cluster.claim.share":{"value":[^,}]*' | awk -F: '{ v = $3 } END { exit !(v > 0) }'; then
+    echo "$last" >&2
+    echo "traced cluster run: want \"correct\":true and a nonzero cluster.claim.share" >&2
+    exit 1
+fi
 
 echo "== go test -race (attestation, telemetry, claim ledgers, batch engines, attacks, dashboard)"
 go test -race $RACE_PKGS
