@@ -4,7 +4,9 @@
 # layer benches, a smoke run of the examples and of the pufatt-attest CLI,
 # a traced one-second run of the benchmark's cluster workload (it must
 # report correct and a nonzero cluster.claim.share, so the seed claims
-# still go through the traced budget), and the race-detected suites.
+# still go through the traced budget), a traced one-second run of its
+# verifier workload (correct, 60 traced reference lookups and at most 64
+# mallocs per op), and the race-detected suites.
 #
 # The repository's benchmark is `bash bench/run.sh` (declared in
 # BENCHMARK.json, documented in bench/README.md): four workloads measured

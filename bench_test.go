@@ -77,12 +77,8 @@ func BenchmarkFigure4FalseNegativeRate(b *testing.B) {
 			}
 		}
 		h, _ := sketch.Generate(noisy)
-		rec, _, err := sketch.Recover(ref, h)
-		if err != nil {
-			fails++
-			continue
-		}
-		if stats.HammingDistance(rec, noisy) != 0 {
+		rec, _, err := sketch.Recover(ecc.BitsToWord(ref), h)
+		if err != nil || rec != ecc.BitsToWord(noisy) {
 			fails++
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pufatt/internal/core"
-	"pufatt/internal/ecc"
 	"pufatt/internal/swatt"
 	"pufatt/internal/telemetry"
 )
@@ -179,10 +178,7 @@ func (v *Verifier) verify(ch Challenge, resp Response, elapsed float64) Result {
 			h := resp.Helpers[idx*8 : idx*8+8]
 			idx++
 			z, err := v.Pipeline.Recover(uint64(seed), h)
-			if err != nil {
-				return 0, err
-			}
-			return uint32(ecc.BitsToWord(z)), nil
+			return uint32(z), err
 		})
 	if err != nil {
 		res.Reason = "reference checksum: " + err.Error()

@@ -94,7 +94,7 @@ func (dev *Device) ReinforcementAge(hours float64, sampleChallenges int) {
 	}
 	noise := dev.agingSrc.Sub("reinforce/noise")
 	for i := 0; i < bits; i++ {
-		a0, a1 := dev.design.datapath.Pair(i)
+		a0, a1 := dev.design.pair0[i], dev.design.pair1[i]
 		// Bit mostly 1 ⇒ ALU0 usually first (Δ = t1 − t0 > 0): stress
 		// ALU1's cone so t1 grows and Δ widens. Otherwise stress ALU0.
 		target := a1

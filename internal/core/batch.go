@@ -331,7 +331,7 @@ func (be *BatchEvaluator) runSliced(challenges, dst [][]uint8, workers, votes in
 func extractLaneDeltas(dev *Device, eng *sim.SlicedEngine, deltas []float64, bcast *[2][sim.Lanes]float64) {
 	bits := dev.design.ResponseBits()
 	for i := 0; i < bits; i++ {
-		a0, a1 := dev.design.datapath.Pair(i)
+		a0, a1 := dev.design.pair0[i], dev.design.pair1[i]
 		skew := dev.design.skewPs[i]
 		l0 := eng.ArrivalLanes(a0)
 		if l0 == nil {

@@ -231,3 +231,32 @@ func TestRawResponseAliasingContract(t *testing.T) {
 		t.Fatal("batch rows alias the device scratch buffer")
 	}
 }
+
+// TestReferenceResponseAliasingContract: Emulator.ReferenceResponse
+// returns emulator-owned scratch that the next lookup overwrites, holding
+// the response Respond gives for the seed's j-th expansion; Respond returns
+// fresh storage.
+func TestReferenceResponseAliasingContract(t *testing.T) {
+	dev := twinDevice(t, 121)
+	d := dev.Design()
+	em := dev.Emulator()
+	r1, _ := em.ReferenceResponse(1, 0)
+	want1 := em.Respond(d.ExpandChallenge(1, 0))
+	if !bytes.Equal(r1, want1) {
+		t.Fatalf("ReferenceResponse(1, 0) = %v, Respond %v", r1, want1)
+	}
+	r2, _ := em.ReferenceResponse(2, 3)
+	if &r1[0] != &r2[0] {
+		t.Fatal("ReferenceResponse returned fresh storage; the documented emulator-owned buffer contract changed")
+	}
+	want2 := em.Respond(d.ExpandChallenge(2, 3))
+	if bytes.Equal(want1, want2) {
+		t.Fatal("test challenges give equal responses; pick others")
+	}
+	if !bytes.Equal(r1, want2) {
+		t.Fatal("the first result was not overwritten in place by the second lookup")
+	}
+	if &want1[0] == &want2[0] || &want1[0] == &r1[0] {
+		t.Fatal("Respond returned shared storage")
+	}
+}

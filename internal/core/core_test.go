@@ -416,7 +416,7 @@ func TestPipelineRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.HammingDistance(got, out.Z) != 0 {
+		if got != out.ZWord() {
 			mismatches++
 		}
 	}
@@ -446,7 +446,7 @@ func TestPipelineRepeatedInvocationsEachVerify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.HammingDistance(got, out.Z) != 0 {
+			if got != out.ZWord() {
 				failures++
 			}
 		}
@@ -462,6 +462,32 @@ func TestVerifierPipelineRejectsWrongHelperCount(t *testing.T) {
 	v := MustNewVerifierPipeline(dev.Emulator())
 	if _, err := v.Recover(1, make([]uint64, 3)); err == nil {
 		t.Error("wrong helper count accepted")
+	}
+}
+
+// TestVerifierRecoverDoesNotAllocate: recovering z over an Emulator —
+// eight reference emulations, sketch recoveries and the network — makes no
+// heap allocation, at both sketch widths.
+func TestVerifierRecoverDoesNotAllocate(t *testing.T) {
+	for _, width := range []int{16, 32} {
+		cfg := DefaultConfig()
+		cfg.Width = width
+		dev := MustNewDevice(MustNewDesign(cfg), rng.New(7), 0)
+		out, err := MustNewPipeline(dev).Query(99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := MustNewVerifierPipeline(dev.Emulator())
+		var z uint64
+		allocs := testing.AllocsPerRun(50, func() {
+			z, err = v.Recover(99, out.Helpers)
+		})
+		if err != nil || z != out.ZWord() {
+			t.Fatalf("width %d: Recover = %#x, %v; prover z %#x", width, z, err, out.ZWord())
+		}
+		if allocs != 0 {
+			t.Errorf("width %d: Recover makes %v allocations, want 0", width, allocs)
+		}
 	}
 }
 

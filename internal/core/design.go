@@ -111,6 +111,10 @@ type Design struct {
 	cfg      Config
 	datapath *netlist.PUFDatapath
 	model    *delay.Model
+	// pair0[i] and pair1[i] are the ALU 0 and ALU 1 nets whose race
+	// produces response bit i (datapath.Pair, resolved once for the per-bit
+	// loops of devices and emulators).
+	pair0, pair1 []int
 	// skewPs[i] is the fixed design-level skew added to ALU 1's arrival
 	// for response bit i (may be negative).
 	skewPs []float64
@@ -138,6 +142,10 @@ func NewDesign(cfg Config) (*Design, error) {
 	}
 	skewSrc := rng.New(cfg.DesignSeed).Sub("layout-skew")
 	bits := d.datapath.ResponseBits()
+	d.pair0, d.pair1 = make([]int, bits), make([]int, bits)
+	for i := range d.pair0 {
+		d.pair0[i], d.pair1[i] = d.datapath.Pair(i)
+	}
 	d.skewPs = make([]float64, bits)
 	for i := range d.skewPs {
 		depth := float64(minInt(i, cfg.Width-1) + 1)

@@ -130,8 +130,7 @@ func (dev *Device) SetConditions(cond delay.Conditions) {
 // (ALU1 + design skew + per-device extra skew) − ALU0 given the engine's
 // last run.
 func (dev *Device) arrivalDelta(arr []float64, i int) float64 {
-	a0, a1 := dev.design.datapath.Pair(i)
-	d := arr[a1] + dev.design.skewPs[i] - arr[a0]
+	d := arr[dev.design.pair1[i]] + dev.design.skewPs[i] - arr[dev.design.pair0[i]]
 	if dev.extraSkewPs != nil {
 		d += dev.extraSkewPs[i]
 	}
@@ -273,10 +272,10 @@ func (dev *Device) ClockedResponse(challenge []uint8, tCyclePs, tSetupPs float64
 	arr := dev.arrivals(challenge)
 	jitter := dev.design.cfg.JitterPs * dev.jitterScale
 	deadline := tCyclePs - tSetupPs
+	p0, p1, skew := dev.design.pair0, dev.design.pair1, dev.design.skewPs
 	for i := range dev.respBuf {
-		a0, a1 := dev.design.datapath.Pair(i)
-		t0 := arr[a0]
-		t1 := arr[a1] + dev.design.skewPs[i]
+		t0 := arr[p0[i]]
+		t1 := arr[p1[i]] + skew[i]
 		if dev.extraSkewPs != nil {
 			t1 += dev.extraSkewPs[i]
 		}
@@ -307,12 +306,12 @@ func (dev *Device) ClockedResponse(challenge []uint8, tCyclePs, tSetupPs float64
 func (dev *Device) MinReliableCyclePs(challenge []uint8, tSetupPs float64) float64 {
 	arr := dev.arrivals(challenge)
 	worst := 0.0
-	for i := 0; i < dev.design.ResponseBits(); i++ {
-		a0, a1 := dev.design.datapath.Pair(i)
-		if arr[a0] > worst {
-			worst = arr[a0]
+	p0, p1, skew := dev.design.pair0, dev.design.pair1, dev.design.skewPs
+	for i := range p0 {
+		if arr[p0[i]] > worst {
+			worst = arr[p0[i]]
 		}
-		t := arr[a1] + dev.design.skewPs[i]
+		t := arr[p1[i]] + skew[i]
 		if dev.extraSkewPs != nil {
 			t += dev.extraSkewPs[i]
 		}

@@ -28,6 +28,7 @@ type Emulator struct {
 	model  *Model
 	engine *sim.Engine
 	inBuf  []uint8
+	refBuf []uint8 // ReferenceResponse's result, see its aliasing contract
 }
 
 // NewEmulator builds an emulator for a device of the given design from its
@@ -46,6 +47,7 @@ func NewEmulator(d *Design, m *Model) *Emulator {
 		model:  m,
 		engine: sim.NewEngine(d.datapath.Net, m.Table),
 		inBuf:  make([]uint8, 2*d.cfg.Width),
+		refBuf: make([]uint8, d.ResponseBits()),
 	}
 }
 
@@ -61,12 +63,34 @@ func (e *Emulator) Respond(challenge []uint8) []uint8 {
 		panic(fmt.Sprintf("core: challenge of %d bits, want %d", len(challenge), 2*e.design.cfg.Width))
 	}
 	copy(e.inBuf, challenge)
+	return e.respond(make([]uint8, e.design.ResponseBits()))
+}
+
+// ReferenceResponse implements ReferenceSource by emulating the device: the
+// j-th expansion of the seed, evaluated like Respond.
+//
+// Aliasing contract: the returned slice is emulator-owned, overwritten in
+// place by the next ReferenceResponse call — read it before the next
+// lookup and never retain or modify it (Respond returns fresh storage).
+// TestReferenceResponseAliasingContract enforces this.
+func (e *Emulator) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
+	e.design.ExpandChallengeInto(e.inBuf, seed, j)
+	return e.respond(e.refBuf), nil
+}
+
+// ResponseBits implements ReferenceSource.
+func (e *Emulator) ResponseBits() int { return e.design.ResponseBits() }
+
+// respond evaluates the challenge in inBuf into out: bit i is 1 when ALU 0
+// settles first.
+func (e *Emulator) respond(out []uint8) []uint8 {
 	_, arr := e.engine.Run(e.inBuf)
-	out := make([]uint8, e.design.ResponseBits())
+	p0, p1, skew := e.design.pair0, e.design.pair1, e.model.SkewPs
 	for i := range out {
-		a0, a1 := e.design.datapath.Pair(i)
-		if arr[a1]+e.model.SkewPs[i]-arr[a0] > 0 {
+		if arr[p1[i]]+skew[i]-arr[p0[i]] > 0 {
 			out[i] = 1
+		} else {
+			out[i] = 0
 		}
 	}
 	return out

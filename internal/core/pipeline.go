@@ -68,23 +68,18 @@ func (p *Pipeline) ResponseBits() int { return p.dev.design.ResponseBits() }
 
 // Query runs one full PUF() invocation for the challenge seed.
 func (p *Pipeline) Query(seed uint64) (*Output, error) {
-	n := obfuscate.ResponsesPerOutput
-	responses := make([][]uint8, n)
-	helpers := make([]uint64, n)
-	for j := 0; j < n; j++ {
+	var ys [obfuscate.ResponsesPerOutput]uint64
+	helpers := make([]uint64, len(ys))
+	for j := range ys {
 		ch := p.dev.design.ExpandChallenge(seed, j)
 		y := p.dev.MajorityResponse(ch, p.Votes)
 		h, err := p.sketch.Generate(y)
 		if err != nil {
 			return nil, err
 		}
-		responses[j] = y
-		helpers[j] = h
+		ys[j], helpers[j] = ecc.BitsToWord(y), h
 	}
-	z, err := p.net.Apply(responses)
-	if err != nil {
-		return nil, err
-	}
+	z := ecc.WordToBits(p.net.ApplyWords(&ys), p.ResponseBits())
 	return &Output{Z: z, Helpers: helpers}, nil
 }
 
@@ -94,19 +89,14 @@ func (p *Pipeline) Query(seed uint64) (*Output, error) {
 // verification approaches.
 type ReferenceSource interface {
 	// ReferenceResponse returns the expected noiseless raw response for
-	// the j-th expanded challenge of the seed.
+	// the j-th expanded challenge of the seed. The slice may be
+	// source-owned scratch that the next call overwrites (the Emulator's
+	// is): callers read it before the next lookup and never retain or
+	// modify it.
 	ReferenceResponse(seed uint64, j int) ([]uint8, error)
 	// ResponseBits returns the raw-response width.
 	ResponseBits() int
 }
-
-// ReferenceResponse implements ReferenceSource by emulating the device.
-func (e *Emulator) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
-	return e.Respond(e.design.ExpandChallenge(seed, j)), nil
-}
-
-// ResponseBits implements ReferenceSource.
-func (e *Emulator) ResponseBits() int { return e.design.ResponseBits() }
 
 // VerifierPipeline is the verifier-side counterpart: it recomputes z from a
 // reference source (emulation model or CRP database) and the prover's
@@ -146,29 +136,35 @@ func MustNewVerifierPipeline(em *Emulator) *VerifierPipeline {
 	return v
 }
 
-// Recover reconstructs z for the challenge seed from the helper data the
-// prover produced. It fails if the helper data implies an error pattern the
-// sketch cannot attribute (which, with maximum-likelihood recovery, only
-// happens on malformed input lengths).
-func (v *VerifierPipeline) Recover(seed uint64, helpers []uint64) ([]uint8, error) {
+// Recover reconstructs z, packed as a word (bit i = z[i], see
+// Output.ZWord), for the challenge seed from the helper data the prover
+// produced. Each reference response is read once, packed and recovered
+// before the next lookup, so a source's scratch buffer suffices; over an
+// Emulator the call does not allocate. It fails on malformed input
+// lengths or a failing reference lookup, and, under bounded-distance
+// decoding, on an error pattern beyond the bound.
+func (v *VerifierPipeline) Recover(seed uint64, helpers []uint64) (uint64, error) {
 	if len(helpers) != obfuscate.ResponsesPerOutput {
-		return nil, fmt.Errorf("core: %d helper words, want %d", len(helpers), obfuscate.ResponsesPerOutput)
+		return 0, fmt.Errorf("core: %d helper words, want %d", len(helpers), obfuscate.ResponsesPerOutput)
 	}
-	responses := make([][]uint8, len(helpers))
+	var ys [obfuscate.ResponsesPerOutput]uint64
 	corrected := 0
-	for j := range helpers {
+	for j, h := range helpers {
 		ref, err := v.src.ReferenceResponse(seed, j)
 		if err != nil {
-			return nil, fmt.Errorf("core: reference %d: %w", j, err)
+			return 0, fmt.Errorf("core: reference %d: %w", j, err)
 		}
-		y, n, err := v.sketch.Recover(ref, helpers[j])
+		if len(ref) != v.sketch.Code().N {
+			return 0, fmt.Errorf("core: reference %d has %d bits, want %d", j, len(ref), v.sketch.Code().N)
+		}
+		y, n, err := v.sketch.Recover(ecc.BitsToWord(ref), h)
 		if err != nil {
-			return nil, fmt.Errorf("core: helper %d: %w", j, err)
+			return 0, fmt.Errorf("core: helper %d: %w", j, err)
 		}
 		corrected += n
-		responses[j] = y
+		ys[j] = y
 	}
 	eccRecoveries.Add(uint64(len(helpers)))
 	eccCorrectedBits.Add(uint64(corrected))
-	return v.net.Apply(responses)
+	return v.net.ApplyWords(&ys), nil
 }

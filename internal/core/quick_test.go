@@ -122,11 +122,9 @@ func TestPropPipelineHelpersAlwaysRecoverable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := range z {
-			if z[i] != out.Z[i] {
-				mismatches++ // rare 16-bit RM(1,4) misrecoveries allowed below
-				return mismatches <= 2
-			}
+		if z != out.ZWord() {
+			mismatches++ // rare 16-bit RM(1,4) misrecoveries allowed below
+			return mismatches <= 2
 		}
 		return true
 	}

@@ -46,7 +46,7 @@ func TestEnrollAndVerifyFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.HammingDistance(z, out.Z) != 0 {
+	if z != out.ZWord() {
 		t.Error("database-backed recovery disagrees with prover z")
 	}
 	if db.Remaining() != 2 {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -205,7 +204,7 @@ func TestRegistryHandleIsReferenceSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(z, out.Z) {
+	if z != out.ZWord() {
 		t.Fatal("registry-backed recovery disagrees with prover z")
 	}
 }

@@ -520,7 +520,7 @@ func TestVerifierPipelineFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(z, out.Z) {
+	if z != out.ZWord() {
 		t.Fatal("store-backed recovery disagrees with prover z")
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // ErrDecodeFailure is returned by bounded-distance decoding when the coset
@@ -44,6 +45,10 @@ type Code struct {
 	hRed   []uint64
 	tMat   []uint64 // rows of T, width N−K (bit j = coefficient of s_j)
 	pivots []int
+	// synTab and partTab are Syndrome and CosetLeader's particular
+	// solution as byte tables: both maps are GF(2)-linear, so the image of
+	// a word is the XOR of its bytes' images, table k holding byte k's.
+	synTab, partTab [][256]uint64
 }
 
 // NewFromGenerator builds a code from K generator rows of width N. The rows
@@ -77,6 +82,24 @@ func NewFromGenerator(n, minDist int, gen []uint64) (*Code, error) {
 	if err := c.prepareCosetDecoding(); err != nil {
 		return nil, err
 	}
+	c.synTab = byteTables(n, func(w uint64) uint64 {
+		var s uint64
+		for j, row := range c.h {
+			s |= uint64(bits.OnesCount64(row&w)&1) << uint(j)
+		}
+		return s
+	})
+	c.partTab = byteTables(n-k, func(s uint64) uint64 {
+		// Transform s by T, then place the transformed bits on the pivot
+		// columns: a v with H·v = s.
+		var v uint64
+		for j := range c.tMat {
+			if bits.OnesCount64(c.tMat[j]&s)&1 == 1 {
+				v |= uint64(1) << uint(c.pivots[j])
+			}
+		}
+		return v
+	})
 	if c.D == 0 {
 		c.D = c.computeMinDistance()
 	}
@@ -221,6 +244,29 @@ func (c *Code) prepareCosetDecoding() error {
 	return nil
 }
 
+// byteTables tabulates a GF(2)-linear map f of width-bit words byte by
+// byte: entry b of table k is f(b << 8k).
+func byteTables(width int, f func(uint64) uint64) [][256]uint64 {
+	tabs := make([][256]uint64, (width+7)/8)
+	for k := range tabs {
+		for b := range tabs[k] {
+			tabs[k][b] = f(uint64(b) << uint(8*k))
+		}
+	}
+	return tabs
+}
+
+// lookup applies a map tabulated by byteTables to w; bits of w beyond the
+// tables' width are ignored.
+func lookup(tabs [][256]uint64, w uint64) uint64 {
+	var out uint64
+	for k := range tabs {
+		out ^= tabs[k][uint8(w)]
+		w >>= 8
+	}
+	return out
+}
+
 func (c *Code) computeMinDistance() int {
 	d := c.N + 1
 	for _, cw := range c.codewords[1:] {
@@ -249,27 +295,14 @@ func (c *Code) Encode(msg uint64) uint64 {
 func (c *Code) IsCodeword(w uint64) bool { return c.Syndrome(w) == 0 }
 
 // Syndrome returns the (N−K)-bit syndrome H·wᵀ, packed with row j in bit j.
-func (c *Code) Syndrome(w uint64) uint64 {
-	var s uint64
-	for j, row := range c.h {
-		s |= uint64(bits.OnesCount64(row&w)&1) << uint(j)
-	}
-	return s
-}
+func (c *Code) Syndrome(w uint64) uint64 { return lookup(c.synTab, w) }
 
 // CosetLeader returns the minimum-weight error vector whose syndrome equals
 // s — exact maximum-likelihood decoding by enumeration of the 2^K coset
 // elements. Ties resolve to the lexicographically smallest mask, making the
 // result deterministic.
 func (c *Code) CosetLeader(s uint64) uint64 {
-	// Particular solution v with H·v = s: transform s by T, then place the
-	// transformed bits on the pivot columns.
-	var v uint64
-	for j := range c.tMat {
-		if bits.OnesCount64(c.tMat[j]&s)&1 == 1 {
-			v |= uint64(1) << uint(c.pivots[j])
-		}
-	}
+	v := lookup(c.partTab, s) // a particular solution: H·v = s
 	best := v
 	bestW := bits.OnesCount64(v)
 	for _, cw := range c.codewords[1:] {
@@ -330,14 +363,23 @@ func NewReedMuller14() *Code {
 	return c
 }
 
+// The shared codes ForResponseWidth returns, built on first use.
+var (
+	sharedRM14 = sync.OnceValue(NewReedMuller14)
+	sharedRM15 = sync.OnceValue(NewReedMuller15)
+)
+
 // ForResponseWidth returns the Reed–Muller sketch code matching a PUF
-// response width: RM(1,5) for 32 bits, RM(1,4) for 16 bits.
+// response width: RM(1,5) for 32 bits, RM(1,4) for 16 bits. Every call for
+// a width returns the same code; a Code is read-only once built, so every
+// pipeline, port and verifier shares it (callers must not write its N, K
+// or D).
 func ForResponseWidth(bits int) (*Code, error) {
 	switch bits {
 	case 32:
-		return NewReedMuller15(), nil
+		return sharedRM15(), nil
 	case 16:
-		return NewReedMuller14(), nil
+		return sharedRM14(), nil
 	default:
 		return nil, fmt.Errorf("ecc: no Reed–Muller instance for %d-bit responses", bits)
 	}

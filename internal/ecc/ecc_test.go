@@ -212,14 +212,12 @@ func TestSketchRoundTripNoNoise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, nErr, err := s.Recover(resp, h)
+		rec, nErr, err := s.Recover(BitsToWord(resp), h)
 		if err != nil || nErr != 0 {
 			t.Fatalf("noiseless recover: nErr=%d err=%v", nErr, err)
 		}
-		for i := range resp {
-			if rec[i] != resp[i] {
-				t.Fatal("noiseless recovery altered the response")
-			}
+		if rec != BitsToWord(resp) {
+			t.Fatal("noiseless recovery altered the response")
 		}
 	}
 }
@@ -238,17 +236,15 @@ func TestSketchRecoversNoisyResponse(t *testing.T) {
 			noisy[pos] ^= 1
 		}
 		h, _ := s.Generate(noisy)
-		rec, count, err := s.Recover(ref, h)
+		rec, count, err := s.Recover(BitsToWord(ref), h)
 		if err != nil {
 			t.Fatalf("trial %d: recover failed: %v", trial, err)
 		}
 		if count != nErr {
 			t.Fatalf("trial %d: corrected %d, injected %d", trial, count, nErr)
 		}
-		for i := range noisy {
-			if rec[i] != noisy[i] {
-				t.Fatalf("trial %d: recovered wrong response", trial)
-			}
+		if rec != BitsToWord(noisy) {
+			t.Fatalf("trial %d: recovered wrong response", trial)
 		}
 	}
 }
@@ -263,7 +259,7 @@ func TestBoundedSketchRejectsHeavyNoise(t *testing.T) {
 		noisy[pos] ^= 1
 	}
 	h, _ := s.Generate(noisy)
-	if _, _, err := s.Recover(ref, h); err == nil {
+	if _, _, err := s.Recover(BitsToWord(ref), h); err == nil {
 		// A 12-error pattern may occasionally alias to a light coset; but
 		// with this fixed seed it should not. If it does, the test seed
 		// must be changed rather than the assertion weakened.
@@ -276,8 +272,8 @@ func TestSketchLengthValidation(t *testing.T) {
 	if _, err := s.Generate(make([]uint8, 31)); err == nil {
 		t.Error("short response accepted")
 	}
-	if _, _, err := s.Recover(make([]uint8, 31), 0); err == nil {
-		t.Error("short reference accepted")
+	if _, _, err := s.Recover(1<<32, 0); err == nil {
+		t.Error("reference wider than the code accepted")
 	}
 }
 
@@ -368,21 +364,105 @@ func TestFNRMonteCarloMatchesAnalytic(t *testing.T) {
 			}
 		}
 		h, _ := s.Generate(noisy)
-		rec, _, err := s.Recover(ref, h)
+		rec, _, err := s.Recover(BitsToWord(ref), h)
 		if err != nil {
 			fails++
 			continue
 		}
-		for i := range noisy {
-			if rec[i] != noisy[i] {
-				fails++
-				break
-			}
+		if rec != BitsToWord(noisy) {
+			fails++
 		}
 	}
 	got := float64(fails) / trials
 	want := AnalyticFNR(32, 7, p)
 	if math.Abs(got-want)/want > 0.25 {
 		t.Errorf("Monte-Carlo FNR %v vs analytic %v", got, want)
+	}
+}
+
+// enumSyndrome and enumCosetLeader are the row-by-row forms the byte
+// tables replace, kept as the reference: one parity per row of H, and the
+// particular solution from T and the pivots followed by the enumeration of
+// the coset.
+func enumSyndrome(c *Code, w uint64) uint64 {
+	var s uint64
+	for j, row := range c.h {
+		s |= uint64(bits.OnesCount64(row&w)&1) << uint(j)
+	}
+	return s
+}
+
+func enumCosetLeader(c *Code, s uint64) uint64 {
+	var v uint64
+	for j := range c.tMat {
+		if bits.OnesCount64(c.tMat[j]&s)&1 == 1 {
+			v |= uint64(1) << uint(c.pivots[j])
+		}
+	}
+	best, bestW := v, bits.OnesCount64(v)
+	for _, cw := range c.codewords[1:] {
+		e := v ^ cw
+		if w := bits.OnesCount64(e); w < bestW || (w == bestW && e < best) {
+			best, bestW = e, w
+		}
+	}
+	return best
+}
+
+// TestTablesMatchEnumeration: the table-driven Syndrome and CosetLeader
+// equal the row-by-row enumeration — on RM(1,4) for every word and every
+// syndrome, on RM(1,5) for every error pattern of weight <= 3 and a seeded
+// sample of 2^18 words and syndromes.
+func TestTablesMatchEnumeration(t *testing.T) {
+	check := func(c *Code, w, s uint64) {
+		t.Helper()
+		if got, want := c.Syndrome(w), enumSyndrome(c, w); got != want {
+			t.Fatalf("(%d,%d) Syndrome(%#x) = %#x, enumeration %#x", c.N, c.K, w, got, want)
+		}
+		if got, want := c.CosetLeader(s), enumCosetLeader(c, s); got != want {
+			t.Fatalf("(%d,%d) CosetLeader(%#x) = %#x, enumeration %#x", c.N, c.K, s, got, want)
+		}
+	}
+	rm14 := NewReedMuller14()
+	for w := uint64(0); w < 1<<16; w++ {
+		check(rm14, w, w&(1<<11-1))
+	}
+	rm15 := NewReedMuller15()
+	patterns := []uint64{0}
+	for a := 0; a < 32; a++ {
+		patterns = append(patterns, 1<<a)
+		for b := a + 1; b < 32; b++ {
+			patterns = append(patterns, 1<<a|1<<b)
+			for c := b + 1; c < 32; c++ {
+				patterns = append(patterns, 1<<a|1<<b|1<<c)
+			}
+		}
+	}
+	if len(patterns) != 1+32+496+4960 {
+		t.Fatalf("%d patterns of weight <= 3, want 5489", len(patterns))
+	}
+	for _, e := range patterns {
+		check(rm15, e, enumSyndrome(rm15, e))
+		if rm15.CosetLeader(rm15.Syndrome(e)) != e {
+			t.Fatalf("weight-%d pattern %#x is not its own coset leader", bits.OnesCount64(e), e)
+		}
+	}
+	src := rng.New(0x7ab1e5)
+	for i := 0; i < 1<<18; i++ {
+		w := src.Uint64()
+		check(rm15, w, w>>32&(1<<26-1))
+	}
+}
+
+func TestForResponseWidthSharesOneCode(t *testing.T) {
+	for _, width := range []int{16, 32} {
+		a, err := ForResponseWidth(width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := ForResponseWidth(width)
+		if a != b || a.N != width {
+			t.Errorf("width %d: codes %p and %p of length %d, want one shared code", width, a, b, a.N)
+		}
 	}
 }

@@ -45,24 +45,25 @@ func (s *Sketch) Generate(response []uint8) (uint64, error) {
 
 // Recover reconstructs the prover's noisy response from the verifier's
 // reference response and the helper data, returning the recovered response
-// and the number of bit errors corrected.
-func (s *Sketch) Recover(reference []uint8, helper uint64) ([]uint8, int, error) {
-	if len(reference) != s.code.N {
-		return nil, 0, fmt.Errorf("ecc: reference of %d bits, want %d", len(reference), s.code.N)
+// and the number of bit errors corrected. Responses are packed words (bit i
+// = response bit i, see BitsToWord); a reference with bits set at or above
+// the code length is rejected.
+func (s *Sketch) Recover(reference, helper uint64) (uint64, int, error) {
+	if reference&^maskN(s.code.N) != 0 {
+		return 0, 0, fmt.Errorf("ecc: reference %#x exceeds %d bits", reference, s.code.N)
 	}
-	ref := BitsToWord(reference)
-	synDiff := helper ^ s.code.Syndrome(ref)
+	synDiff := helper ^ s.code.Syndrome(reference)
 	var e uint64
 	var err error
 	if s.BoundedT >= 0 {
 		e, err = s.code.DecodeBounded(synDiff, s.BoundedT)
 		if err != nil {
-			return nil, 0, err
+			return 0, 0, err
 		}
 	} else {
 		e = s.code.CosetLeader(synDiff)
 	}
-	return WordToBits(ref^e, s.code.N), bits.OnesCount64(e), nil
+	return reference ^ e, bits.OnesCount64(e), nil
 }
 
 // AnalyticFNR returns the analytic false-negative rate of bounded-distance

@@ -85,8 +85,8 @@ func FNRMonteCarlo(cfg core.Config, trials, votes int, seed uint64, workers int)
 				res.Failures++
 				continue
 			}
-			rec, _, err := sketch.Recover(refs[k], h)
-			if err != nil || stats.HammingDistance(rec, meas[k]) != 0 {
+			rec, _, err := sketch.Recover(ecc.BitsToWord(refs[k]), h)
+			if err != nil || rec != ecc.BitsToWord(meas[k]) {
 				res.Failures++
 			}
 		}

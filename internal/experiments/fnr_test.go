@@ -6,7 +6,6 @@ import (
 
 	"pufatt/internal/core"
 	"pufatt/internal/rng"
-	"pufatt/internal/stats"
 )
 
 func TestMeasuredPipelineFNR(t *testing.T) {
@@ -26,7 +25,7 @@ func TestMeasuredPipelineFNR(t *testing.T) {
 			t.Fatal(err)
 		}
 		z, err := vp.Recover(seed, out.Helpers)
-		if err != nil || stats.HammingDistance(z, out.Z) != 0 {
+		if err != nil || z != out.ZWord() {
 			fails++
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"pufatt/internal/core"
 	"pufatt/internal/fpga"
 	"pufatt/internal/rng"
-	"pufatt/internal/stats"
 )
 
 // TestFPGAPipelineReliability quantifies a gap the paper leaves implicit:
@@ -40,7 +39,7 @@ func TestFPGAPipelineReliability(t *testing.T) {
 				t.Fatal(err)
 			}
 			z, err := vp.Recover(seed, out.Helpers)
-			if err != nil || stats.HammingDistance(z, out.Z) != 0 {
+			if err != nil || z != out.ZWord() {
 				fails++
 			}
 		}

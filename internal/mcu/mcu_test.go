@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pufatt/internal/core"
-	"pufatt/internal/ecc"
 	"pufatt/internal/rng"
 	"pufatt/internal/stats"
 )
@@ -418,8 +417,8 @@ func TestPUFModeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint32(ecc.BitsToWord(zv)) != z {
-		t.Fatalf("verifier z %#x != prover z %#x", ecc.BitsToWord(zv), z)
+	if uint32(zv) != z {
+		t.Fatalf("verifier z %#x != prover z %#x", zv, z)
 	}
 }
 

@@ -103,11 +103,7 @@ func TestPipelinedAttestationStillVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want uint32
-	for i, b := range zv {
-		want |= uint32(b) << uint(i)
-	}
-	if c.Regs[5] != want {
+	if want := uint32(zv); c.Regs[5] != want {
 		t.Errorf("pipelined PUF run: z %#x, verifier %#x", c.Regs[5], want)
 	}
 }

@@ -44,12 +44,13 @@ type DevicePort struct {
 	// to the CPU clock via SetClock.
 	CyclePs float64
 
-	active    bool
-	count     int
-	responses [][]uint8
-	helpers   []uint64
-	z         uint32
-	meta      *rng.Source // metastable latch resolution under the monitor
+	active  bool
+	count   int
+	y       []uint8 // the query being voted, packed into words once latched
+	words   [obfuscate.ResponsesPerOutput]uint64
+	helpers []uint64
+	z       uint32
+	meta    *rng.Source // metastable latch resolution under the monitor
 }
 
 // NewDevicePort builds a port over a device. The device's response width
@@ -67,6 +68,7 @@ func NewDevicePort(dev *core.Device) (*DevicePort, error) {
 		dev:     dev,
 		sketch:  ecc.NewSketch(code),
 		net:     obfuscate.MustNew(bits),
+		y:       make([]uint8, bits),
 		Votes:   5,
 		SetupPs: 20,
 		CyclePs: 2000,
@@ -102,7 +104,6 @@ func (p *DevicePort) MaxReliableFreqHz() float64 {
 func (p *DevicePort) Begin() {
 	p.active = true
 	p.count = 0
-	p.responses = p.responses[:0]
 }
 
 // Feed implements PUFPort: one add-in-PUF-mode query.
@@ -114,15 +115,14 @@ func (p *DevicePort) Feed(a, b uint32) (uint64, error) {
 		return 0, fmt.Errorf("mcu: more than %d PUF queries before pend", obfuscate.ResponsesPerOutput)
 	}
 	ch := p.dev.Design().ChallengeFromOperands(uint64(a), uint64(b))
-	bits := p.dev.Design().ResponseBits()
-	y := make([]uint8, bits)
+	y := p.y
 	if p.CyclePs < p.dev.CriticalPathPs()+p.SetupPs {
 		// Worst-case timing monitor violated: the latch enable misfires
 		// and all bits sample metastable arbiters.
 		p.meta.Bits(y)
 	} else {
 		var buf [32]int // NewDevicePort caps responses at 32 bits
-		counts := buf[:bits]
+		counts := buf[:len(y)]
 		for v := 0; v < p.Votes; v++ {
 			r, _ := p.dev.ClockedResponse(ch, p.CyclePs, p.SetupPs)
 			for i, bit := range r {
@@ -130,6 +130,7 @@ func (p *DevicePort) Feed(a, b uint32) (uint64, error) {
 			}
 		}
 		for i, ccount := range counts {
+			y[i] = 0
 			if 2*ccount > p.Votes {
 				y[i] = 1
 			}
@@ -140,7 +141,7 @@ func (p *DevicePort) Feed(a, b uint32) (uint64, error) {
 		return 0, err
 	}
 	p.helpers = append(p.helpers, h)
-	p.responses = append(p.responses, y)
+	p.words[p.count] = ecc.BitsToWord(y)
 	p.count++
 	// Each vote occupies one clock of the race plus one latch cycle.
 	return uint64(p.Votes) + 1, nil
@@ -154,12 +155,8 @@ func (p *DevicePort) Finish() (uint32, error) {
 	if p.count != obfuscate.ResponsesPerOutput {
 		return 0, fmt.Errorf("mcu: pend after %d queries, need %d", p.count, obfuscate.ResponsesPerOutput)
 	}
-	z, err := p.net.Apply(p.responses)
-	if err != nil {
-		return 0, err
-	}
 	p.active = false
-	p.z = uint32(ecc.BitsToWord(z))
+	p.z = uint32(p.net.ApplyWords(&p.words))
 	return p.z, nil
 }
 

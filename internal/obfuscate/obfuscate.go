@@ -15,7 +15,7 @@
 //
 // In hardware, the intermediate registers of this network are invisible to
 // software running on the processor; this package mirrors that by exposing
-// only the final output (intermediate words never leave Apply).
+// only the final output (intermediate words never leave ApplyWords).
 package obfuscate
 
 import "fmt"
@@ -51,36 +51,44 @@ func MustNew(responseBits int) *Network {
 // to the output width).
 func (o *Network) ResponseBits() int { return 2 * o.half }
 
-// fold XORs the upper half of y onto the lower half (phase 1 for one
-// response), writing n bits into dst.
-func (o *Network) fold(dst, y []uint8) {
-	for i := 0; i < o.half; i++ {
-		dst[i] = (y[i] ^ y[i+o.half]) & 1
-	}
+// fold XORs the upper half of a packed response onto its lower half
+// (phase 1 for one response), returning n bits.
+func (o *Network) fold(y uint64) uint64 {
+	return (y ^ y>>uint(o.half)) & (uint64(1)<<uint(o.half) - 1)
 }
 
-// Apply runs the full two-phase network over exactly eight raw responses of
-// width ResponseBits and returns the obfuscated output z of the same width.
+// ApplyWords runs the full two-phase network over eight raw responses
+// packed as words (bit i = response bit i; bits at or above ResponseBits
+// are ignored) and returns the obfuscated output z packed the same way.
+func (o *Network) ApplyWords(ys *[ResponsesPerOutput]uint64) uint64 {
+	var z uint64
+	for j := 0; j < 4; j++ {
+		// Phase 1: b_j = fold(y_{2j}) ‖ fold(y_{2j+1}); phase 2 XORs the b_j.
+		z ^= o.fold(ys[2*j]) | o.fold(ys[2*j+1])<<uint(o.half)
+	}
+	return z
+}
+
+// Apply is ApplyWords over bit slices: exactly eight raw responses of width
+// ResponseBits in, the obfuscated output z of the same width out.
 func (o *Network) Apply(responses [][]uint8) ([]uint8, error) {
 	if len(responses) != ResponsesPerOutput {
 		return nil, fmt.Errorf("obfuscate: %d responses supplied, need %d", len(responses), ResponsesPerOutput)
 	}
 	width := 2 * o.half
+	var ys [ResponsesPerOutput]uint64
 	for i, y := range responses {
 		if len(y) != width {
 			return nil, fmt.Errorf("obfuscate: response %d has %d bits, want %d", i, len(y), width)
 		}
-	}
-	z := make([]uint8, width)
-	b := make([]uint8, width)
-	for j := 0; j < 4; j++ {
-		// Phase 1: b_j = fold(y_{2j}) ‖ fold(y_{2j+1}).
-		o.fold(b[:o.half], responses[2*j])
-		o.fold(b[o.half:], responses[2*j+1])
-		// Phase 2 accumulation.
-		for i := range z {
-			z[i] ^= b[i]
+		for b, bit := range y {
+			ys[i] |= uint64(bit&1) << uint(b)
 		}
+	}
+	zw := o.ApplyWords(&ys)
+	z := make([]uint8, width)
+	for i := range z {
+		z[i] = uint8(zw >> uint(i) & 1)
 	}
 	return z, nil
 }

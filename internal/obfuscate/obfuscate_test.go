@@ -202,3 +202,51 @@ func TestApplyDeterministic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// bitFold is the network bit by bit, as the paper states it: the reference
+// the word form must equal.
+func bitFold(responses [][]uint8) []uint8 {
+	width := len(responses[0])
+	half := width / 2
+	z := make([]uint8, width)
+	for j := 0; j < 4; j++ {
+		for i := 0; i < half; i++ {
+			z[i] ^= (responses[2*j][i] ^ responses[2*j][i+half]) & 1
+			z[half+i] ^= (responses[2*j+1][i] ^ responses[2*j+1][i+half]) & 1
+		}
+	}
+	return z
+}
+
+// TestApplyWordsMatchesBitFold: at both paper widths the word network
+// equals the bit-by-bit fold, through ApplyWords and through the slice
+// Apply, and ignores word bits at or above the response width.
+func TestApplyWordsMatchesBitFold(t *testing.T) {
+	src := rng.New(0xf01d)
+	for _, width := range []int{16, 32} {
+		o := MustNew(width)
+		for trial := 0; trial < 2000; trial++ {
+			rs := make([][]uint8, ResponsesPerOutput)
+			var ys [ResponsesPerOutput]uint64
+			for i := range rs {
+				rs[i] = make([]uint8, width)
+				src.Bits(rs[i])
+				for b, bit := range rs[i] {
+					ys[i] |= uint64(bit) << uint(b)
+				}
+				ys[i] |= src.Uint64() << uint(width) // ignored
+			}
+			want := bitFold(rs)
+			var wantWord uint64
+			for i, bit := range want {
+				wantWord |= uint64(bit) << uint(i)
+			}
+			if got := o.ApplyWords(&ys); got != wantWord {
+				t.Fatalf("width %d: ApplyWords = %#x, bit fold %#x", width, got, wantWord)
+			}
+			if got := o.MustApply(rs); string(got) != string(want) {
+				t.Fatalf("width %d: Apply = %v, bit fold %v", width, got, want)
+			}
+		}
+	}
+}

@@ -30,6 +30,8 @@
 package pufatt
 
 import (
+	"sync"
+
 	"pufatt/internal/attest"
 	"pufatt/internal/core"
 	"pufatt/internal/crp"
@@ -171,7 +173,7 @@ func NewSystem(opt Options) (*System, error) {
 	if opt.Attest == (AttestParams{}) {
 		opt.Attest = DefaultAttestParams()
 	}
-	design, err := core.NewDesign(opt.PUF)
+	design, err := sharedDesign(opt.PUF)
 	if err != nil {
 		return nil, err
 	}
@@ -211,6 +213,30 @@ func NewSystem(opt Options) (*System, error) {
 	}, nil
 }
 
+// lastDesign is the design NewSystem built last. A Design is read-only once
+// built and a pure function of its Config, so the systems of a fleet built
+// node by node share one instead of compiling the netlist per node; one
+// entry bounds what the memo retains.
+var lastDesign struct {
+	sync.Mutex
+	cfg    Config
+	design *core.Design
+}
+
+// sharedDesign returns the design for cfg, reusing lastDesign's on a match.
+func sharedDesign(cfg Config) (*core.Design, error) {
+	lastDesign.Lock()
+	defer lastDesign.Unlock()
+	if lastDesign.design == nil || lastDesign.cfg != cfg {
+		d, err := core.NewDesign(cfg)
+		if err != nil {
+			return nil, err
+		}
+		lastDesign.cfg, lastDesign.design = cfg, d
+	}
+	return lastDesign.design, nil
+}
+
 // Attest runs one attestation session over the given link (zero value →
 // DefaultLink).
 func (s *System) Attest(link Link) (Result, error) {
@@ -238,17 +264,7 @@ func (s *System) QueryPUF(seed uint64) (z []uint8, verified bool, err error) {
 		return nil, false, err
 	}
 	rec, err := vp.Recover(seed, out.Helpers)
-	if err != nil {
-		return out.Z, false, nil
-	}
-	match := true
-	for i := range rec {
-		if rec[i] != out.Z[i] {
-			match = false
-			break
-		}
-	}
-	return out.Z, match, nil
+	return out.Z, err == nil && rec == out.ZWord(), nil
 }
 
 // Mix32 is the public challenge-expansion finaliser shared by software and

@@ -33,6 +33,47 @@ func TestNewSystemAndAttest(t *testing.T) {
 	}
 }
 
+// TestNewSystemSharesDesignPerConfig: systems built from one PUF
+// configuration share its read-only design; another configuration gets its
+// own, and the sharing changes no device behaviour.
+func TestNewSystemSharesDesignPerConfig(t *testing.T) {
+	opt := smallOptions()
+	a, err := NewSystem(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.ChipID = 1
+	b, err := NewSystem(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Design != b.Design {
+		t.Error("two systems of one configuration compiled two designs")
+	}
+	opt.PUF.Width = 16
+	c, err := NewSystem(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Design == a.Design || c.Design.ResponseBits() != 16 {
+		t.Error("a 16-bit configuration reused the 32-bit design")
+	}
+	opt.PUF.Width = 32
+	fresh, err := NewDesign(opt.PUF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := fresh.ExpandChallenge(5, 0)
+	dev, err := NewDevice(fresh, opt.Seed, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dev.NoiselessResponse(ch)
+	if got := b.Device.NoiselessResponse(ch); string(got) != string(want) {
+		t.Errorf("shared-design device responds %v, fresh-design device %v", got, want)
+	}
+}
+
 func TestSystemWithCRPDatabase(t *testing.T) {
 	opt := smallOptions()
 	opt.UseCRPDatabase = 3
@@ -141,7 +182,7 @@ func TestPipelineRoundTripThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ZWord(z) != ZWord(out.Z) {
+	if z != ZWord(out.Z) {
 		t.Error("facade round trip mismatch")
 	}
 }

@@ -9,8 +9,11 @@
 # pufatt-attest CLI through a durable store's enrollment and one
 # re-enrollment, a one-second traced run of the benchmark's cluster
 # workload (correct, with replicated seed claims timed under
-# cluster.claim), and one race-detected run over every package that runs
-# work on goroutines:
+# cluster.claim), a one-second traced run of its verifier workload
+# (correct, all 60 reference lookups per op through the traced
+# core.ReferenceSource seam, and at most 64 mallocs per op, which guards
+# the allocation-free recovery path), and one race-detected run over every
+# package that runs work on goroutines:
 # the attestation stack (fault injection, retry, fleet and cluster sweeps,
 # failover, admission, shutdown), telemetry, the claim ledgers, the
 # parallel batch engines, the attacks' parallel training, and the
@@ -81,6 +84,21 @@ if ! echo "$last" | grep -q '"correct":true' ||
     ! echo "$last" | grep -o '"cluster.claim.share":{"value":[^,}]*' | awk -F: '{ v = $3 } END { exit !(v > 0) }'; then
     echo "$last" >&2
     echo "traced cluster run: want \"correct\":true and a nonzero cluster.claim.share" >&2
+    exit 1
+fi
+
+echo "== traced verifier smoke run: correct, every reference lookup traced, allocation-free recovery"
+bash bench/run.sh --workload verifier --seed 1 --seconds 1 --trace 1 >"$tmp/verifier" || true
+last=$(tail -n 1 "$tmp/verifier")
+metric() {
+    echo "$last" | grep -o "\"$1\":{\"value\":[^,}]*" | awk -F: '{ v = $3 } END { print v + 0 }'
+}
+calls=$(metric core.reference.calls_per_op)
+mallocs=$(metric runtime.mallocs_per_op)
+if ! echo "$last" | grep -q '"correct":true' ||
+    ! awk -v c="$calls" -v m="$mallocs" 'BEGIN { exit !(c == 60 && m <= 64) }'; then
+    echo "$last" >&2
+    echo "traced verifier run: want \"correct\":true, core.reference.calls_per_op 60 (got $calls) and runtime.mallocs_per_op <= 64 (got $mallocs)" >&2
     exit 1
 fi
 
