@@ -1,7 +1,8 @@
 # Makefile — developer entry points. `make verify` is the gate: gofmt,
 # tier-1 build+tests, vet, the nested bench module's vet+tests, a one-pass
 # smoke run of the root paper-figure and ablation benches and of the sim
-# layer benches, a smoke run of the examples and of the pufatt-attest CLI,
+# layer benches, a smoke run of the examples (fleetwatch killed by a
+# timeout inside its serve window) and of the pufatt-attest CLI,
 # a traced one-second run of the benchmark's cluster workload (it must
 # report correct and a nonzero cluster.claim.share, so the seed claims
 # still go through the traced budget), a traced one-second run of its

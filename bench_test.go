@@ -18,6 +18,7 @@ import (
 	"pufatt/internal/attest"
 	"pufatt/internal/bch"
 	"pufatt/internal/core"
+	"pufatt/internal/crp"
 	crpstore "pufatt/internal/crp/store"
 	"pufatt/internal/delay"
 	"pufatt/internal/ecc"
@@ -401,7 +402,7 @@ func BenchmarkAblationVerification(b *testing.B) {
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
-	db, err := EnrollCRPs(dev, seeds)
+	db, err := crp.Enroll(dev, seeds)
 	if err != nil {
 		b.Fatal(err)
 	}

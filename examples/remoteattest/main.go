@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("PUF(0xCAFE) = %08x, verifier reconstruction ok: %v\n", pufatt.ZWord(z), verified)
+	fmt.Printf("PUF(0xCAFE) = %08x, verifier reconstruction ok: %v\n", z, verified)
 
 	// An impostor: same design, same software, different silicon, clocked
 	// to the genuine node's frequency.

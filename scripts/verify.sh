@@ -5,8 +5,9 @@
 # and tests of the nested bench module (so a change to an exported API it
 # calls fails here), one iteration of every root bench (so the paper-figure
 # and ablation regenerators keep running) and of every sim layer bench, a
-# smoke run of every example that exits by itself, a smoke run of the
-# pufatt-attest CLI through a durable store's enrollment and one
+# smoke run of every example that exits by itself, a run of fleetwatch
+# killed inside its serve window (it binds :7791-:7793 when they are free),
+# a smoke run of the pufatt-attest CLI through a durable store's enrollment and one
 # re-enrollment, a one-second traced run of the benchmark's cluster
 # workload (correct, with replicated seed claims timed under
 # cluster.claim), a one-second traced run of its verifier workload
@@ -51,6 +52,9 @@ go test -run '^$' -bench . -benchtime 1x .
 echo "== sim layer benches, one iteration each (scalar and bitsliced passes)"
 go test -run '^$' -bench . -benchtime 1x ./internal/sim
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== examples: run each one that exits by itself (fleetwatch serves for its window)"
 for dir in examples/*/; do
     name=$(basename "$dir")
@@ -58,9 +62,19 @@ for dir in examples/*/; do
     go run "./examples/$name" >/dev/null
 done
 
+echo "== fleetwatch: sweeps for ~10 s, then must still be serving when timeout 25 kills it"
+go build -o "$tmp/fleetwatch" ./examples/fleetwatch
+status=0
+TMPDIR="$tmp" timeout 25 "$tmp/fleetwatch" >"$tmp/fleetwatch.out" || status=$?
+if [ "$status" -ne 124 ] ||
+    ! grep -q 'federated /healthz: HTTP' "$tmp/fleetwatch.out" ||
+    ! grep -q 'serving all three endpoints' "$tmp/fleetwatch.out"; then
+    cat "$tmp/fleetwatch.out" >&2
+    echo "fleetwatch: want exit 124 (killed while serving), a federated /healthz line and the serving line (exit $status)" >&2
+    exit 1
+fi
+
 echo "== pufatt-attest: local sessions, then a store enrolled, attested, re-enrolled and attested at epoch 1"
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/pufatt-attest" ./cmd/pufatt-attest
 attest() {
     "$tmp/pufatt-attest" "$@" >"$tmp/out"
